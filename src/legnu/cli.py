@@ -15,21 +15,47 @@ import csv
 import json
 import sys
 
-from .core import DomainError
-from .legendre import d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p, maclaurin_p
-from .verify import GridSpec, report_lines, reports_to_json, run_all
+from .core import DomainError, EvalResult
+from .legendre import (_degree_partial_sums, d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p,
+                       maclaurin_p)
+from .verify import GridSpec, report_lines, run_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
-TARGETS = ("p", "d1", "d2", "d3", "maclaurin")
+
+def _eval_p(nu: float, z: float, order: int) -> tuple[float, EvalResult]:
+    r = legendre_p(nu, z)
+    return r.value, r
+
+
+#: target -> f(nu, z, order) giving (value, EvalResult or None).  Each entry
+#: looks its evaluator up when called, never binding the function object,
+#: so wrappers installed on the module globals are seen.
+_EVALUATORS = {
+    "p": _eval_p,
+    "d1": lambda nu, z, order: (dp_dnu0(z), None),
+    "d2": lambda nu, z, order: (d2p_dnu2_0(z), None),
+    "d3": lambda nu, z, order: (d3p_dnu3_0(z), None),
+    "maclaurin": lambda nu, z, order: (maclaurin_p(nu, z, order), None),
+}
+
+TARGETS = tuple(_EVALUATORS)
 FORMATS = ("csv", "json", "pretty")
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return _fmt(v)
+    return "" if v is None else str(v)
 
 
 def _print_csv(header: list[str], rows: list[list[str]]) -> None:
@@ -46,14 +72,14 @@ def _print_pretty(header: list[str], rows: list[list[str]]) -> None:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
 
 
-def _print_table(fmt: str, header: list[str], rows: list[list[str]],
-                 records: list[dict]) -> None:
-    if fmt == "csv":
-        _print_csv(header, rows)
-    elif fmt == "json":
+def _print_table(fmt: str, records: list[dict]) -> None:
+    """Print non-empty, same-keyed records; csv and pretty use the keys of
+    the first record as the header."""
+    if fmt == "json":
         print(json.dumps({"records": records}, indent=2))
-    else:
-        _print_pretty(header, rows)
+        return
+    rows = [[_cell(v) for v in rec.values()] for rec in records]
+    (_print_csv if fmt == "csv" else _print_pretty)(list(records[0]), rows)
 
 
 def _shifted_z_start(z_start: float) -> float:
@@ -76,52 +102,37 @@ def _parse_targets(raw: list[str] | None) -> list[str]:
     return [t for t in TARGETS if t in set(names)]
 
 
-def _row_values(z: float, targets: list[str], nu: float, order: int) -> tuple[dict, bool]:
-    """Values for one grid point; the flag reports row-level convergence."""
+def _row_values(z: float, targets: list[str], nu: float, order: int) -> dict:
+    """The tabulate record of one grid point; its status reports whether
+    every value in the row converged."""
     values: dict = {}
     ok = True
     for t in targets:
-        if t == "p":
-            r = legendre_p(nu, z)
-            values[t] = r.value
-            ok = ok and r.converged
-        elif t == "d1":
-            values[t] = dp_dnu0(z)
-        elif t == "d2":
-            values[t] = d2p_dnu2_0(z)
-        elif t == "d3":
-            values[t] = d3p_dnu3_0(z)
-        else:
-            values[t] = maclaurin_p(nu, z, order)
-    return values, ok
+        value, result = _EVALUATORS[t](nu, z, order)
+        values[t] = float(value)
+        ok = ok and (result is None or result.converged)
+    return {"z": z, "status": "ok" if ok else "nonconverged", **values}
+
+
+def _exit_code(records: list[dict]) -> int:
+    """Non-convergence fails the command only when it hits every record."""
+    return EXIT_NONCONVERGED if all(r["status"] != "ok" for r in records) else EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     what = args.what
-    if what == "p":
-        r = legendre_p(args.nu, args.z)
-        if not r.converged:
-            print(f"error: series did not converge at nu={args.nu!r} z={args.z!r} "
-                  f"(error estimate {r.abs_err_est!r})", file=sys.stderr)
-            return EXIT_NONCONVERGED
-        value = r.value
-    elif what == "d1":
-        value = dp_dnu0(args.z)
-    elif what == "d2":
-        value = d2p_dnu2_0(args.z)
-    elif what == "d3":
-        value = d3p_dnu3_0(args.z)
-    else:
-        value = maclaurin_p(args.nu, args.z, args.order)
+    value, result = _EVALUATORS[what](args.nu, args.z, args.order)
+    if result is not None and not result.converged:
+        print(f"error: series did not converge at nu={args.nu!r} z={args.z!r} "
+              f"(error estimate {result.abs_err_est!r})", file=sys.stderr)
+        return EXIT_NONCONVERGED
 
     order = args.order if what == "maclaurin" else None
+    record = {"what": what, "nu": args.nu, "z": args.z, "order": order, "value": value}
     if args.format == "csv":
-        _print_csv(["what", "nu", "z", "order", "value"],
-                   [[what, _fmt(args.nu), _fmt(args.z),
-                     "" if order is None else str(order), _fmt(value)]])
+        _print_table("csv", [record])
     elif args.format == "json":
-        print(json.dumps({"what": what, "nu": args.nu, "z": args.z,
-                          "order": order, "value": value}, indent=2))
+        print(json.dumps(record, indent=2))
     else:
         print(_fmt(value))
     return EXIT_OK
@@ -130,19 +141,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.what)
     grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
-    header = ["z", "status"] + targets
-    rows, records = [], []
-    n_failed = 0
-    for z in grid.points():
-        z = float(z)
-        values, ok = _row_values(z, targets, args.nu, args.order)
-        if not ok:
-            n_failed += 1
-        status = "ok" if ok else "nonconverged"
-        rows.append([_fmt(z), status] + [_fmt(values[t]) for t in targets])
-        records.append({"z": z, "status": status, **{t: float(values[t]) for t in targets}})
-    _print_table(args.format, header, rows, records)
-    return EXIT_NONCONVERGED if n_failed == len(rows) else EXIT_OK
+    records = [_row_values(float(z), targets, args.nu, args.order) for z in grid.points()]
+    _print_table(args.format, records)
+    return _exit_code(records)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -163,20 +164,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.format == "json":
-        print(reports_to_json(reports))
-    elif args.format == "csv":
-        header = ["identity_id", "samples", "max_residual", "mean_residual",
-                  "argmax_location", "tolerance", "passed"]
-        rows = [[r.identity_id, str(r.samples), _fmt(r.max_residual), _fmt(r.mean_residual),
-                 _fmt(r.argmax_location), _fmt(r.tolerance), str(r.passed).lower()]
-                for r in reports]
-        _print_csv(header, rows)
-    else:
+    if args.format == "pretty":
         for line in report_lines(reports):
             print(line)
         n_pass = sum(r.passed for r in reports)
         print(f"{n_pass}/{len(reports)} identities passed")
+    else:
+        _print_table(args.format, [r.to_dict() for r in reports])
 
     for r in reports:
         if not r.passed:
@@ -194,26 +188,19 @@ def _cmd_truncation_study(args: argparse.Namespace) -> int:
     nu_grid = GridSpec(args.nu_start, args.nu_end, args.nu_count)
     z_grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
     zs = [float(z) for z in z_grid.points()]
+    derivs = [(dp_dnu0(z), d2p_dnu2_0(z), d3p_dnu3_0(z)) for z in zs]
 
-    header = ["nu", "order", "status", "max_abs_err"]
-    rows, records = [], []
-    n_failed = 0
+    records = []
     for nu in nu_grid.points():
         nu = float(nu)
-        ref, ref_ok = [], True
-        for z in zs:
-            r = legendre_p(nu, z)
-            ref.append(r.value)
-            ref_ok = ref_ok and r.converged
-        status = "ok" if ref_ok else "nonconverged"
-        if not ref_ok:
-            n_failed += 1
+        ref = [legendre_p(nu, z) for z in zs]
+        status = "ok" if all(r.converged for r in ref) else "nonconverged"
+        sums = [_degree_partial_sums(nu, *d) for d in derivs]
         for order in range(4):
-            err = max(abs(maclaurin_p(nu, z, order) - p) for z, p in zip(zs, ref))
-            rows.append([_fmt(nu), str(order), status, _fmt(err)])
+            err = max(abs(s[order] - r.value) for s, r in zip(sums, ref))
             records.append({"nu": nu, "order": order, "status": status, "max_abs_err": err})
-    _print_table(args.format, header, rows, records)
-    return EXIT_NONCONVERGED if n_failed == args.nu_count else EXIT_OK
+    _print_table(args.format, records)
+    return _exit_code(records)
 
 
 def _add_format_flag(p: argparse.ArgumentParser, default: str) -> None:

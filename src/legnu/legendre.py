@@ -116,6 +116,9 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
 def dp_dnu0(z: float) -> float:
     """First degree-derivative of P_nu(z) at degree 0: ln((z+1)/2)."""
     z = _check_argument(z)
+    # log1p((z-1)/2) loses relative accuracy as z -> -1, where z + 1 is exact
+    if z < 0.0:
+        return math.log(0.5 * (z + 1.0))
     return math.log1p(0.5 * (z - 1.0))
 
 
@@ -147,6 +150,15 @@ def d3p_dnu3_0(z: float) -> float:
     ) + 0.0
 
 
+def _degree_partial_sums(nu: float, d1: float, d2: float,
+                         d3: float) -> tuple[float, float, float, float]:
+    """Partial sums of the degree expansion about 0 for orders 0 through 3,
+    given the first three degree-derivatives at 0 (no domain checks)."""
+    s1 = 1.0 + nu * d1
+    s2 = s1 + nu * nu / 2.0 * d2
+    return 1.0, s1, s2, s2 + nu**3 / 6.0 * d3
+
+
 def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     """Degree-expansion approximant of P_nu(z) about degree 0.
 
@@ -163,14 +175,11 @@ def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     z = _check_argument(z)
     if order not in (0, 1, 2, 3):
         raise DomainError(f"truncation order must be 0..3, got {order}")
-    total = 1.0
-    if order >= 1:
-        total += nu * dp_dnu0(z)
-    if order >= 2:
-        total += nu * nu / 2.0 * d2p_dnu2_0(z)
-    if order >= 3:
-        total += nu**3 / 6.0 * d3p_dnu3_0(z)
-    return total
+    # coefficients above the order are not evaluated; 0.0 stands in for them
+    d1 = dp_dnu0(z) if order >= 1 else 0.0
+    d2 = d2p_dnu2_0(z) if order >= 2 else 0.0
+    d3 = d3p_dnu3_0(z) if order >= 3 else 0.0
+    return _degree_partial_sums(nu, d1, d2, d3)[order]
 
 
 def _stencil(f, order: int, h: float) -> float:

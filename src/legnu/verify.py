@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -136,19 +136,13 @@ class IdentityReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "argmax_location": self.argmax_location,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequence[float],
                  tolerance: float) -> IdentityReport:
+    if not (0.0 < tolerance < math.inf):
+        raise DomainError(f"{identity_id}: tolerance must be positive and finite, got {tolerance}")
     if len(residuals) < 2:
         raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(residuals)}")
     res = np.asarray(residuals, dtype=float)
@@ -167,14 +161,12 @@ def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequen
 # ---------------------------------------------------------------------------
 # stencils and analytic derivatives of the closed forms
 
-def _d1_5pt(values: Sequence[float], h: float) -> float:
-    fm2, fm1, _, fp1, fp2 = values
-    return (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-
-
-def _d2_5pt(values: Sequence[float], h: float) -> float:
+def _legendre_operator_5pt(values: Sequence[float], z: float, h: float) -> float:
+    """(1-z^2) f'' - 2z f' at z from f at z-2h .. z+2h, by 5-point stencils."""
     fm2, fm1, f0, fp1, fp2 = values
-    return (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+    d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return (1.0 - z * z) * d2 - 2.0 * z * d1
 
 
 def _d2p_closed_dz(z: float) -> float:
@@ -239,8 +231,7 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
         if not all(e.converged for e in evals):
             continue
         vals = [e.value for e in evals]
-        resid = (1.0 - z * z) * _d2_5pt(vals, h) - 2.0 * z * _d1_5pt(vals, h) \
-            + nu * (nu + 1.0) * vals[2]
+        resid = _legendre_operator_5pt(vals, z, h) + nu * (nu + 1.0) * vals[2]
         locations.append(z)
         residuals.append(abs(resid))
     return _make_report("ode_base", locations, residuals, tolerance)
@@ -253,7 +244,7 @@ def _check_ode_closed_form(identity_id: str, f, rhs, step: float, fi_order: int,
     for z in pts:
         z = float(z)
         vals = [f(z + k * step) for k in (-2, -1, 0, 1, 2)]
-        resid = (1.0 - z * z) * _d2_5pt(vals, step) - 2.0 * z * _d1_5pt(vals, step) - rhs(z)
+        resid = _legendre_operator_5pt(vals, z, step) - rhs(z)
         locations.append(z)
         residuals.append(abs(resid))
     # fold the stencil-free first-integral sub-check, rescaled so that it
@@ -343,8 +334,12 @@ def _li2_ratio_antideriv(t: float, form: str) -> float:
 
 
 def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> float:
-    """|quadrature - antiderivative difference| on [a, b]; a failed
-    quadrature is scored at 10x tolerance so it can never pass silently."""
+    """|quadrature - antiderivative difference| on [a, b] in [0, 0.999]; a
+    failed quadrature is scored at 10x tolerance so it can never pass
+    silently."""
+    for t in (a, b):
+        if not (0.0 <= t <= 0.999):
+            raise DomainError(f"integration endpoints must lie in [0, 0.999], got {t}")
     if a == b:
         return 0.0
     q = adaptive_quad(integrand, a, b, max(1e-13, _QUAD_TOL_FRACTION * tol))
@@ -356,9 +351,6 @@ def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> 
 
 def dilog_antiderivative_residual(a: float, b: float, tol: float = 1e-10) -> float:
     """Quadrature-vs-antiderivative residual for Li2 on [a, b] in [0, 0.999]."""
-    for t in (a, b):
-        if not (0.0 <= t <= 0.999):
-            raise DomainError(f"integration endpoints must lie in [0, 0.999], got {t}")
     return _quad_vs_antideriv(lambda t: dilog(t).value, _li2_antideriv, a, b, tol)
 
 
@@ -372,9 +364,6 @@ def li2_ratio_antiderivative_residual(a: float, b: float, tol: float = 1e-9,
     """
     if form not in ("reduced", "log"):
         raise DomainError(f"unknown antiderivative form {form!r}")
-    for t in (a, b):
-        if not (0.0 <= t <= 0.999):
-            raise DomainError(f"integration endpoints must lie in [0, 0.999], got {t}")
     if form == "log" and a <= 0.0:
         raise DomainError("log-form antiderivative requires a > 0")
     return _quad_vs_antideriv(
@@ -386,6 +375,11 @@ def li2_ratio_antiderivative_residual(a: float, b: float, tol: float = 1e-9,
 
 def _interval_check(identity_id: str, grid: GridSpec, tol: float, residual_fn,
                     extra: Sequence[tuple[float, float]] = ()) -> IdentityReport:
+    """Residuals over consecutive intervals of a grid within [0, 0.999]."""
+    if grid.start < 0.0 or grid.end > 0.999:
+        raise DomainError(
+            f"{identity_id} grid must lie within [0, 0.999], got [{grid.start}, {grid.end}]"
+        )
     pts = grid.points()
     locations, residuals = [], []
     for a, b in zip(pts[:-1], pts[1:]):
@@ -401,12 +395,6 @@ def check_dilog_antiderivative(grid: GridSpec, tol: float | None = None) -> Iden
     """Integral of Li2 over consecutive grid intervals vs its antiderivative."""
     if tol is None:
         tol = DEFAULT_TOLERANCES["dilog_antiderivative"]
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if grid.start < 0.0 or grid.end > 0.999:
-        raise DomainError(
-            f"antiderivative grid must lie within [0, 0.999], got [{grid.start}, {grid.end}]"
-        )
     return _interval_check(
         "dilog_antiderivative", grid, tol,
         lambda a, b: dilog_antiderivative_residual(a, b, tol),
@@ -418,12 +406,6 @@ def check_li2_over_1mz_integral(grid: GridSpec, tol: float | None = None) -> Ide
     antiderivative, plus three fixed log-form spot intervals at 1e-8."""
     if tol is None:
         tol = DEFAULT_TOLERANCES["li2_over_1mz_integral"]
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if grid.start < 0.0 or grid.end > 0.999:
-        raise DomainError(
-            f"integral grid endpoints above 0.999 are rejected, got [{grid.start}, {grid.end}]"
-        )
     scale = tol / LOG_FORM_SPOT_BOUND
     extra = [
         (0.5 * (a + b),

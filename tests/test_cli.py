@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from legnu.cli import main
+from legnu.cli import TARGETS, main
+from legnu.legendre import legendre_p, maclaurin_p
+from legnu.verify import GridSpec
 
 
 def run_cli(capsys, *argv):
@@ -59,13 +61,20 @@ class TestEval:
         assert rec["order"] == 2
         assert isinstance(rec["value"], float)
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "--what", "d2", "--z", "0.5",
+    @pytest.mark.parametrize("what", TARGETS)
+    def test_csv_format(self, capsys, what):
+        code, out, _ = run_cli(capsys, "eval", "--what", what, "--nu", "0.3", "--z", "0.5",
                                "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "what,nu,z,order,value"
         assert len(lines) == 2
+        # eval and tabulate share one evaluator per target
+        value = lines[1].split(",")[-1]
+        code, out, _ = run_cli(capsys, "tabulate", "--what", what, "--nu", "0.3",
+                               "--z-start", "0", "--z-end", "0.5", "--count", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == f"0.5,ok,{value}"
 
 
 class TestTabulate:
@@ -177,6 +186,9 @@ class TestVerify:
         assert code == 2 and "IDENTITY=VALUE" in err
         code, _, err = run_cli(capsys, "verify", "--tol", "euler=notanumber")
         assert code == 2
+        for bad in ("ode_base=inf", "euler=-1", "euler=nan"):
+            code, _, err = run_cli(capsys, "verify", "--tol", bad)
+            assert code == 2 and "tolerance must be positive and finite" in err
 
     def test_unknown_identity(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--tol", "sphere=1e-6")
@@ -219,6 +231,20 @@ class TestTruncationStudy:
             nu, order, status, err = line.split(",")
             if float(nu) == 0.0:
                 assert float(err) == 0.0
+
+    def test_errors_match_maclaurin_p(self, capsys):
+        code, out, _ = run_cli(capsys, "truncation-study", "--nu-start", "-0.2",
+                               "--nu-end", "0.2", "--nu-count", "3", "--z-start", "-0.8",
+                               "--count", "7", "--format", "json")
+        assert code == 0
+        zs = [float(z) for z in GridSpec(-0.8, 1.0, 7).points()]
+        records = json.loads(out)["records"]
+        assert len(records) == 12 and records[4]["nu"] == 0.0
+        for rec in records:
+            nu, order = rec["nu"], rec["order"]
+            expected = max(abs(maclaurin_p(nu, z, order) - legendre_p(nu, z).value)
+                           for z in zs)
+            assert rec["max_abs_err"] == expected
 
     def test_degree_grid_bound(self, capsys):
         code, _, err = run_cli(capsys, "truncation-study", "--nu-start", "-0.6",

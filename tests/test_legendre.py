@@ -88,6 +88,15 @@ def test_dp_dnu0_values():
     assert abs(dp_dnu0(-0.5) - math.log(0.25)) <= 1e-15
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_dp_dnu0_relative_accuracy_near_minus_one(gap):
+    mpmath = pytest.importorskip("mpmath")
+    z = -1.0 + gap
+    with mpmath.workdps(40):
+        ref = mpmath.log((mpmath.mpf(z) + 1) / 2)
+        assert abs((dp_dnu0(z) - ref) / ref) <= 1e-15
+
+
 def test_dp_dnu0_matches_oracle():
     for z in np.linspace(-0.9, 1.0, 20):
         o = nu_derivative_oracle(float(z), 1, 0.01)

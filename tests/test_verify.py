@@ -123,6 +123,11 @@ class TestEulerReflection:
         r = check_euler_reflection(GridSpec(0.001, 0.999, 101), tolerance=1e-16)
         assert not r.passed
 
+    def test_tolerance_must_be_positive_and_finite(self):
+        for tol in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                check_euler_reflection(GridSpec(0.001, 0.999, 11), tol)
+
     def test_grid_must_be_interior(self):
         with pytest.raises(DomainError):
             check_euler_reflection(GridSpec(0.0, 0.999, 11))
