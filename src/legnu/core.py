@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-
 __all__ = ["DomainError", "EvalResult", "adaptive_quad"]
 
 #: Unit roundoff of binary64, used as the generic series stopping threshold.
@@ -56,6 +54,10 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
         raise DomainError(f"quadrature tolerance must be positive, got {tol}")
     if a == b:
         return EvalResult(0.0, 0.0, True)
+    # imported here: scipy.integrate costs most of `import legnu`, and only
+    # the quadrature checks and the integral oracle need it
+    from scipy.integrate import quad
+
     out = quad(f, a, b, epsabs=tol, epsrel=0.0, limit=QUAD_SUBINTERVAL_CAP, full_output=1)
     value, err_est = float(out[0]), float(out[1])
     ok = len(out) == 3 and err_est <= tol  # a 4th element is QUADPACK's failure message

@@ -137,9 +137,27 @@ def d3p_dnu3_0(z: float) -> float:
 
     With v = (z+1)/2:
     12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
-    which vanishes at z = 1 where v = 1.
+    which vanishes at z = 1 where v = 1.  Its terms cancel as z -> 1, so
+    for z > 1/2 the first integral is summed instead: with w = (1-z)/2,
+    6 times the integral of Li2(t)/(1-t) over [0, w], that is
+    6 sum_{n>=1} H2_n w^(n+1)/(n+1) with H2_n = sum_{k<=n} 1/k^2.  Every
+    term is positive and the ratio is below 1/2, so at most about 26
+    terms are summed.
     """
     z = _check_argument(z)
+    if z > 0.5:
+        w = 0.5 * (1.0 - z)
+        total = h2 = 0.0
+        wpow = w
+        n = 0
+        while True:
+            n += 1
+            h2 += 1.0 / (n * n)
+            wpow *= w
+            term = h2 * wpow / (n + 1)
+            total += term
+            if term <= EPS * total:
+                return 6.0 * total
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
     return (

@@ -50,9 +50,10 @@ def _power_series(x: float, s: int) -> tuple[float, float, bool]:
         t = term / k**s
         total += t
         if abs(t) <= EPS * abs(total):
-            # geometric tail bound plus a rounding allowance for the sum
+            # geometric tail bound plus a rounding allowance that grows with
+            # the summation length, as in `legendre_p`
             tail = abs(t) * ax / (1.0 - ax) if ax < 1.0 else abs(t)
-            return total, tail + 2.0 * EPS * abs(total), True
+            return total, tail + EPS * abs(total) * (1.0 + math.sqrt(k)), True
         term *= x
         k += 1
     return total, abs(term), False

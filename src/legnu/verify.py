@@ -26,9 +26,8 @@ same grid reproduces residual statistics bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -53,26 +52,26 @@ __all__ = [
     "li2_ratio_antiderivative_residual",
     "run_all",
     "report_lines",
-    "reports_to_json",
 ]
 
-IDENTITY_IDS = (
-    "ode_base",
-    "ode_deriv2",
-    "ode_deriv3",
-    "euler_reflection",
-    "dilog_antiderivative",
-    "li2_over_1mz_integral",
-)
-
-DEFAULT_TOLERANCES = {
-    "ode_base": 1e-6,
-    "ode_deriv2": 1e-6,
-    "ode_deriv3": 1e-6,
-    "euler_reflection": 1e-12,
-    "dilog_antiderivative": 1e-10,
-    "li2_over_1mz_integral": 1e-9,
+#: identity id -> (default tolerance, the check on its default grid at a
+#: given tolerance).  Each entry looks its check up when called, never
+#: binding the function object, so wrappers installed on the module globals
+#: are seen.  The base ODE degree is non-polynomial on purpose.
+_SUITE = {
+    "ode_base": (1e-6, lambda tol: check_ode_base(0.5, GridSpec(-0.9, 0.9, 101), tol)),
+    "ode_deriv2": (1e-6, lambda tol: check_ode_deriv2(GridSpec(-0.9, 0.9, 101), tol)),
+    "ode_deriv3": (1e-6, lambda tol: check_ode_deriv3(GridSpec(-0.9, 0.9, 101), tol)),
+    "euler_reflection":
+        (1e-12, lambda tol: check_euler_reflection(GridSpec(0.001, 0.999, 101), tol)),
+    "dilog_antiderivative":
+        (1e-10, lambda tol: check_dilog_antiderivative(GridSpec(0.0, 0.99, 11), tol)),
+    "li2_over_1mz_integral":
+        (1e-9, lambda tol: check_li2_over_1mz_integral(GridSpec(0.05, 0.95, 11), tol)),
 }
+
+IDENTITY_IDS = tuple(_SUITE)
+DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 
 # Fixed bounds of the folded sub-checks.
 FIRST_INTEGRAL_BOUND = 1e-10
@@ -135,14 +134,19 @@ class IdentityReport:
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _tolerance(identity_id: str, value: float | None) -> float:
+    """The identity's default tolerance for None; otherwise ``value``, which
+    must be positive and finite."""
+    if value is None:
+        return DEFAULT_TOLERANCES[identity_id]
+    if not (0.0 < value < math.inf):
+        raise DomainError(f"{identity_id}: tolerance must be positive and finite, got {value}")
+    return value
 
 
 def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequence[float],
                  tolerance: float) -> IdentityReport:
-    if not (0.0 < tolerance < math.inf):
-        raise DomainError(f"{identity_id}: tolerance must be positive and finite, got {tolerance}")
     if len(residuals) < 2:
         raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(residuals)}")
     res = np.asarray(residuals, dtype=float)
@@ -220,8 +224,7 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
     Points where the series fails to converge are excluded (reflected in
     the report's sample count), never silently included.
     """
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCES["ode_base"]
+    tolerance = _tolerance("ode_base", tolerance)
     pts = _check_ode_grid(grid)
     h = _ODE_STEP
     locations, residuals = [], []
@@ -259,8 +262,7 @@ def _check_ode_closed_form(identity_id: str, f, rhs, step: float, fi_order: int,
 def check_ode_deriv2(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the twice-degree-differentiated equation on the order-2
     closed form, with its first integral checked analytically at 1e-10."""
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCES["ode_deriv2"]
+    tolerance = _tolerance("ode_deriv2", tolerance)
     return _check_ode_closed_form(
         "ode_deriv2",
         d2p_dnu2_0,
@@ -275,8 +277,7 @@ def check_ode_deriv2(grid: GridSpec, tolerance: float | None = None) -> Identity
 def check_ode_deriv3(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the thrice-degree-differentiated equation on the order-3
     closed form, with its first integral checked analytically at 1e-10."""
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCES["ode_deriv3"]
+    tolerance = _tolerance("ode_deriv3", tolerance)
     return _check_ode_closed_form(
         "ode_deriv3",
         d3p_dnu3_0,
@@ -290,8 +291,7 @@ def check_ode_deriv3(grid: GridSpec, tolerance: float | None = None) -> Identity
 
 def check_euler_reflection(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of Li2(x) + Li2(1-x) - pi^2/6 + ln(x) ln(1-x) over the grid."""
-    if tolerance is None:
-        tolerance = DEFAULT_TOLERANCES["euler_reflection"]
+    tolerance = _tolerance("euler_reflection", tolerance)
     if grid.start <= 0.0 or grid.end >= 1.0:
         raise DomainError(f"reflection grid must lie within (0, 1), got [{grid.start}, {grid.end}]")
     pts = grid.points()
@@ -393,8 +393,7 @@ def _interval_check(identity_id: str, grid: GridSpec, tol: float, residual_fn,
 
 def check_dilog_antiderivative(grid: GridSpec, tol: float | None = None) -> IdentityReport:
     """Integral of Li2 over consecutive grid intervals vs its antiderivative."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES["dilog_antiderivative"]
+    tol = _tolerance("dilog_antiderivative", tol)
     return _interval_check(
         "dilog_antiderivative", grid, tol,
         lambda a, b: dilog_antiderivative_residual(a, b, tol),
@@ -404,8 +403,7 @@ def check_dilog_antiderivative(grid: GridSpec, tol: float | None = None) -> Iden
 def check_li2_over_1mz_integral(grid: GridSpec, tol: float | None = None) -> IdentityReport:
     """Integral of Li2(t)/(1-t) over grid intervals vs the reduced
     antiderivative, plus three fixed log-form spot intervals at 1e-8."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES["li2_over_1mz_integral"]
+    tol = _tolerance("li2_over_1mz_integral", tol)
     scale = tol / LOG_FORM_SPOT_BOUND
     extra = [
         (0.5 * (a + b),
@@ -422,31 +420,18 @@ def check_li2_over_1mz_integral(grid: GridSpec, tol: float | None = None) -> Ide
 # ---------------------------------------------------------------------------
 # suite driver and serialization
 
-_DEFAULT_ODE_GRID = GridSpec(-0.9, 0.9, 101)
-_DEFAULT_EULER_GRID = GridSpec(0.001, 0.999, 101)
-_DEFAULT_ANTIDERIV_GRID = GridSpec(0.0, 0.99, 11)
-_DEFAULT_RATIO_GRID = GridSpec(0.05, 0.95, 11)
-
-#: Degree exercised by the base ODE check (non-polynomial on purpose).
-_DEFAULT_BASE_DEGREE = 0.5
-
-
 def _resolve_tolerances(tolerances: Mapping[str, float] | None) -> dict[str, float]:
     resolved = dict(DEFAULT_TOLERANCES)
-    if not tolerances:
-        return resolved
-    for key, value in tolerances.items():
-        if key in resolved:
-            resolved[key] = float(value)
-            continue
-        matches = [name for name in IDENTITY_IDS if name.startswith(key)]
+    for key, value in (tolerances or {}).items():
+        matches = [key] if key in resolved else [n for n in IDENTITY_IDS if n.startswith(key)]
         if len(matches) != 1:
             raise ValueError(
                 f"unknown identity {key!r}; expected one of {', '.join(IDENTITY_IDS)} "
                 f"or a unique prefix"
             )
         resolved[matches[0]] = float(value)
-    return resolved
+    # values are checked once every name has resolved, in suite order
+    return {name: _tolerance(name, value) for name, value in resolved.items()}
 
 
 def run_all(tolerances: Mapping[str, float] | None = None) -> list[IdentityReport]:
@@ -455,17 +440,11 @@ def run_all(tolerances: Mapping[str, float] | None = None) -> list[IdentityRepor
     ``tolerances`` overrides per-identity tolerances by id or unique id
     prefix (e.g. ``{"euler": 1e-13}``); anything not named keeps its
     default.  Always returns one report per identity, in `IDENTITY_IDS`
-    order; a failed identity never aborts the rest.
+    order; a failed identity never aborts the rest.  An unknown name or a
+    tolerance that is not positive and finite raises before any check runs.
     """
     tols = _resolve_tolerances(tolerances)
-    return [
-        check_ode_base(_DEFAULT_BASE_DEGREE, _DEFAULT_ODE_GRID, tols["ode_base"]),
-        check_ode_deriv2(_DEFAULT_ODE_GRID, tols["ode_deriv2"]),
-        check_ode_deriv3(_DEFAULT_ODE_GRID, tols["ode_deriv3"]),
-        check_euler_reflection(_DEFAULT_EULER_GRID, tols["euler_reflection"]),
-        check_dilog_antiderivative(_DEFAULT_ANTIDERIV_GRID, tols["dilog_antiderivative"]),
-        check_li2_over_1mz_integral(_DEFAULT_RATIO_GRID, tols["li2_over_1mz_integral"]),
-    ]
+    return [check(tols[name]) for name, (_, check) in _SUITE.items()]
 
 
 def report_lines(reports: Iterable[IdentityReport]) -> list[str]:
@@ -476,8 +455,3 @@ def report_lines(reports: Iterable[IdentityReport]) -> list[str]:
         f"argmax={r.argmax_location!r}  tol={r.tolerance!r}"
         for r in reports
     ]
-
-
-def reports_to_json(reports: Iterable[IdentityReport]) -> str:
-    """All reports as one JSON document with a ``records`` array."""
-    return json.dumps({"records": [r.to_dict() for r in reports]}, indent=2)

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line interface via its main() entry."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from legnu.cli import TARGETS, main
 from legnu.legendre import legendre_p, maclaurin_p
-from legnu.verify import GridSpec
+from legnu.verify import GridSpec, IdentityReport
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +179,18 @@ class TestVerify:
         assert len(doc["records"]) == 6
         assert all(rec["passed"] for rec in doc["records"])
 
+    def test_json_document(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--format", "json")
+        parsed = json.loads(out)
+        assert set(parsed) == {"records"}
+        assert len(parsed["records"]) == 6
+        for rec in parsed["records"]:
+            assert list(rec) == [
+                "identity_id", "samples", "max_residual", "mean_residual",
+                "argmax_location", "tolerance", "passed",
+            ]
+            assert asdict(IdentityReport(**rec)) == rec
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "csv")
         assert code == 0
@@ -260,3 +277,13 @@ def test_help_exits_zero(capsys):
 def test_missing_subcommand_exits_2(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only quadrature needs scipy.integrate, and it dominates import time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, legnu, legnu.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.strip() == "False"

@@ -1,19 +1,18 @@
 """Tests for the identity-verification layer: grids, reports, the six
 checks, the suite driver, and report serialization."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
+from legnu import verify
 from legnu.core import DomainError
 from legnu.polylog import PI2_OVER_6, dilog
 from legnu.verify import (
     DEFAULT_TOLERANCES,
     IDENTITY_IDS,
     GridSpec,
-    IdentityReport,
     check_dilog_antiderivative,
     check_euler_reflection,
     check_li2_over_1mz_integral,
@@ -24,7 +23,6 @@ from legnu.verify import (
     first_integral_residuals,
     li2_ratio_antiderivative_residual,
     report_lines,
-    reports_to_json,
     run_all,
 )
 
@@ -206,21 +204,41 @@ class TestRunAll:
     def test_deterministic(self):
         assert run_all() == run_all()
 
+    def test_bad_tolerance_fails_before_any_check(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a check ran before the tolerances were validated")
+
+        monkeypatch.setattr(verify, "check_ode_base", must_not_run)
+        with pytest.raises(DomainError, match="^li2_over_1mz_integral: tolerance must be"):
+            run_all({"li2": float("nan")})
+
+    def test_checks_are_looked_up_when_run(self, monkeypatch):
+        calls = []
+        original = verify.check_euler_reflection
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_euler_reflection", counting)
+        reports = run_all()
+        assert len(calls) == 1
+        assert [r.identity_id for r in reports] == list(IDENTITY_IDS)
+
+    @pytest.mark.parametrize("check, args", [
+        (check_ode_base, (0.5, GridSpec(-0.9, 0.9, 5))),
+        (check_ode_deriv2, (GridSpec(-0.9, 0.9, 5),)),
+        (check_ode_deriv3, (GridSpec(-0.9, 0.9, 5),)),
+        (check_dilog_antiderivative, (GridSpec(0.1, 0.9, 5),)),
+        (check_li2_over_1mz_integral, (GridSpec(0.1, 0.9, 5),)),
+    ])
+    def test_every_check_rejects_bad_tolerance(self, check, args):
+        for tol in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+                check(*args, tol)
+
 
 class TestSerialization:
-    def test_json_document(self):
-        doc = reports_to_json(run_all())
-        parsed = json.loads(doc)
-        assert set(parsed) == {"records"}
-        assert len(parsed["records"]) == 6
-        for rec in parsed["records"]:
-            assert list(rec) == [
-                "identity_id", "samples", "max_residual", "mean_residual",
-                "argmax_location", "tolerance", "passed",
-            ]
-            rebuilt = IdentityReport(**rec)
-            assert rebuilt.to_dict() == rec
-
     def test_line_records(self):
         reports = run_all()
         lines = report_lines(reports)
