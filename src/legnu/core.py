@@ -50,8 +50,8 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
     bisection (QUADPACK), capped at ``QUAD_SUBINTERVAL_CAP`` subintervals.
     Non-convergence is reported through the result flag, never raised.
     """
-    if tol <= 0.0:
-        raise DomainError(f"quadrature tolerance must be positive, got {tol}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"quadrature tolerance must be positive and finite, got {tol}")
     if a == b:
         return EvalResult(0.0, 0.0, True)
     # imported here: scipy.integrate costs most of `import legnu`, and only

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .core import EPS, DomainError, EvalResult
-from .polylog import ZETA3, dilog, trilog
+from .polylog import _LI2, ZETA3, _t_series, dilog, trilog
 
 __all__ = [
     "legendre_p",
@@ -44,6 +44,9 @@ ORACLE_MAX_STEP = 0.1
 ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
 
 _ORACLE_LEVELS = 4  # base step plus three halvings
+
+# coefficient n of Li2's Bernoulli series integrated once more: B_n / ((n+2) (n+1)!)
+_LI2_INTEGRAL = tuple(c / (n + 2) for n, c in enumerate(_LI2))
 
 
 def _check_argument(z: float) -> float:
@@ -76,18 +79,19 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     z : float
         Argument in (-1, 1].
     tol : float
-        Relative truncation tolerance.
+        Relative truncation tolerance, positive and finite.
 
     Returns
     -------
     EvalResult
         converged is False when the term cap is reached (z within about
-        1e-4 of -1); the value is then the partial sum.
+        1e-4 of -1); the value is then the partial sum, with no error
+        bound: abs_err_est is inf.
     """
     nu = _check_degree(nu)
     z = _check_argument(z)
-    if tol <= 0.0:
-        raise DomainError(f"series tolerance must be positive, got {tol}")
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"series tolerance must be positive and finite, got {tol}")
     u = 0.5 * (1.0 - z)
     total = 1.0
     abs_total = 1.0
@@ -110,7 +114,7 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
                 return EvalResult(total, est, True)
         else:
             small_run = 0
-    return EvalResult(total, abs(term), False)
+    return EvalResult(total, math.inf, False)
 
 
 def dp_dnu0(z: float) -> float:
@@ -139,25 +143,15 @@ def d3p_dnu3_0(z: float) -> float:
     12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
     which vanishes at z = 1 where v = 1.  Its terms cancel as z -> 1, so
     for z > 1/2 the first integral is summed instead: with w = (1-z)/2,
-    6 times the integral of Li2(t)/(1-t) over [0, w], that is
-    6 sum_{n>=1} H2_n w^(n+1)/(n+1) with H2_n = sum_{k<=n} 1/k^2.  Every
-    term is positive and the ratio is below 1/2, so at most about 26
-    terms are summed.
+    6 times the integral of Li2(t)/(1-t) over [0, w].  The substitution
+    s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
+    series in s, 6 sum_n B_n S^(n+2) / ((n+2) (n+1)!) with S = -ln(1-w)
+    <= ln(4/3), which is summed by Horner's rule like the kernels.
     """
     z = _check_argument(z)
     if z > 0.5:
-        w = 0.5 * (1.0 - z)
-        total = h2 = 0.0
-        wpow = w
-        n = 0
-        while True:
-            n += 1
-            h2 += 1.0 / (n * n)
-            wpow *= w
-            term = h2 * wpow / (n + 1)
-            total += term
-            if term <= EPS * total:
-                return 6.0 * total
+        s = -math.log1p(-0.5 * (1.0 - z))
+        return 6.0 * s * _t_series(s, _LI2_INTEGRAL)[0] + 0.0
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
     return (
@@ -191,8 +185,8 @@ def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     """
     nu = _check_degree(nu)
     z = _check_argument(z)
-    if order not in (0, 1, 2, 3):
-        raise DomainError(f"truncation order must be 0..3, got {order}")
+    if type(order) is not int or not 0 <= order <= 3:
+        raise DomainError(f"truncation order must be an int in 0..3, got {order!r}")
     # coefficients above the order are not evaluated; 0.0 stands in for them
     d1 = dp_dnu0(z) if order >= 1 else 0.0
     d2 = d2p_dnu2_0(z) if order >= 2 else 0.0

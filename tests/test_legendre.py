@@ -77,6 +77,13 @@ def test_domain_validation():
         legendre_p(0.5, 0.5, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_series_tolerance_must_be_positive_and_finite(tol):
+    # nan used to sum all MAX_TERMS terms; inf returned a truncated value as converged
+    with pytest.raises(DomainError, match="positive and finite"):
+        legendre_p(0.3, -0.5, tol=tol)
+
+
 def test_nonconvergence_is_flagged_near_minus_one():
     r = legendre_p(0.5, -0.9999)
     assert not r.converged
@@ -145,6 +152,12 @@ def test_maclaurin_order_validation():
         maclaurin_p(0.1, 0.5, 4)
     with pytest.raises(DomainError):
         maclaurin_p(0.1, 0.5, -1)
+
+
+@pytest.mark.parametrize("order", [3.0, True, False, "3", None, np.int64(2)])
+def test_maclaurin_order_must_be_an_int(order):
+    with pytest.raises(DomainError, match="int in 0..3"):
+        maclaurin_p(0.3, 0.2, order)
 
 
 def test_maclaurin_fourth_order_convergence():

@@ -6,14 +6,25 @@ of the production argument-reduction code.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import spence
 
-from legnu.core import DomainError
-from legnu.polylog import PI2_OVER_6, ZETA3, dilog, dilog_integral_oracle, trilog, zeta3
+from legnu.core import DomainError, adaptive_quad
+from legnu.legendre import _LI2_INTEGRAL
+from legnu.polylog import (
+    _LI2,
+    _LI3,
+    PI2_OVER_6,
+    ZETA3,
+    dilog,
+    dilog_integral_oracle,
+    trilog,
+    zeta3,
+)
 
 # series oracle: math.fsum(0.5**k / k**2 for k in 1..199)
 LI2_HALF = 0.5822405264650125
@@ -159,3 +170,40 @@ def test_integral_oracle_domain():
         dilog_integral_oracle(-0.1, 1e-12)
     with pytest.raises(DomainError):
         dilog_integral_oracle(0.5, 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_quadrature_tolerance_must_be_positive_and_finite(tol):
+    # inf used to be reported as converged, whatever the error
+    with pytest.raises(DomainError, match="positive and finite"):
+        adaptive_quad(math.exp, 0.0, 1.0, tol)
+    with pytest.raises(DomainError, match="positive and finite"):
+        dilog_integral_oracle(0.5, tol)
+
+
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0 .. B_n exactly, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_series_tables_match_exact_definitions():
+    n_exact = 40  # far enough that the terms past it are below 1e-35 |t|
+    b = _bernoulli(n_exact)
+    li2 = [b[n] / math.factorial(n + 1) for n in range(n_exact)]
+    li3 = [sum(b[k] * b[m - k] / (math.factorial(k + 1) * math.factorial(m - k))
+               for k in range(m + 1)) / (m + 1) for m in range(n_exact)]
+    li2_integral = [c / (n + 2) for n, c in enumerate(li2)]
+    assert _LI2 == tuple(float(c) for c in li2[:len(_LI2)])
+    assert _LI3 == tuple(float(c) for c in li3[:len(_LI3)])
+    for c, exact in zip(_LI2_INTEGRAL, li2_integral):
+        assert abs(c - exact) <= math.ulp(c)
+    # polylog's rounding allowance assumes sum_n |c_n| (ln 2)^n <= 1.31 and
+    # that the terms past each table sum to less than 1e-19 |t| at |t| <= ln 2
+    ln2 = Fraction(math.log(2.0))
+    for exact, table in ((li2, _LI2), (li3, _LI3), (li2_integral, _LI2_INTEGRAL)):
+        weights = [abs(c) * ln2**n for n, c in enumerate(exact)]
+        assert sum(weights) <= Fraction(131, 100)
+        assert sum(weights[len(table):]) < 1e-19

@@ -5,8 +5,11 @@ inputs through the defining formulas, never through the package's own
 reductions or series: 50 significant digits for the closed forms, whose
 mpmath form cancels near z = 1, and 30 elsewhere.  Each is computed once.  The
 domain is z in [-0.99, 1] plus the boundary layers 1 +- z = 10^-k, k = 1..12;
-closer to z = -1 the Legendre series is not yet covered.
+closer to z = -1, where the Legendre series does not converge, only its
+error estimate is checked.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -47,13 +50,31 @@ def test_closed_forms_meet_relative_contract(k, func):
     assert worst[0] <= REL, f"d{k}: relative error {worst[0]:.3g} at z = {worst[1]!r}"
 
 
+# d3 sums a series for z > 1/2 and the closed form below; z = 1/2 is the switch
+D3_SWITCH_GRID = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)] + [
+    float(z) for z in np.linspace(0.45, 0.55, 41)
+]
+
+
+def test_d3_meets_relative_contract_across_the_switch():
+    worst = max(((_rel_err(d3p_dnu3_0(z), _deriv_ref(3, z)), z) for z in D3_SWITCH_GRID))
+    assert worst[0] <= REL, f"relative error {worst[0]:.3g} at z = {worst[1]!r}"
+
+
 def test_d3_vanishes_exactly_at_one():
     assert d3p_dnu3_0(1.0) == 0.0
 
 
-# With a fixed rounding allowance, 22 (Li2) and 14 (Li3) of these points had
-# an error above the estimate; the allowance now grows with the term count.
-POLYLOG_GRID = [float(x) for x in np.linspace(0.0, 1.0, 1001)]
+# With a fixed rounding allowance, 22 (Li2) and 14 (Li3) of the uniform points
+# had an error above the estimate.  The edges 10^-k and 1 - 10^-k, both sides
+# of the branch point 1/2 and the interval (1/2, 2/3), where Li3 once used a
+# duplication formula, are added.
+POLYLOG_GRID = (
+    [float(x) for x in np.linspace(0.0, 1.0, 1001)]
+    + [10.0**-k for k in range(1, 17)] + [1.0 - 10.0**-k for k in range(1, 17)]
+    + [math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+    + [float(x) for x in np.linspace(0.5, 2.0 / 3.0, 101)]
+)
 
 
 @pytest.mark.parametrize("s, func", [(2, dilog), (3, trilog)])
@@ -86,3 +107,14 @@ def test_legendre_p_converged_and_within_estimate():
                 if not (r.converged and err <= r.abs_err_est):
                     misses.append((nu, z, err, r.abs_err_est))
     assert not misses, f"{len(misses)} misses, first {misses[0]}"
+
+
+@pytest.mark.parametrize("z", [-0.9999, -0.99999])
+def test_legendre_p_nonconverged_estimate_bounds_error(z):
+    # the last term summed (2.1e-8 and 1.9e-6) was once reported as the estimate,
+    # against errors of 3.7e-4 and 0.178
+    r = legendre_p(0.5, z)
+    assert not r.converged
+    with mp.workdps(30):
+        err = float(abs(mp.mpf(r.value) - mp.legenp(mp.mpf(0.5), 0, mp.mpf(z), type=2)))
+    assert err <= r.abs_err_est
