@@ -32,7 +32,8 @@ __all__ = [
 #: Largest |degree| accepted by the series evaluator.
 DEGREE_ENVELOPE = 5.0
 
-#: Series term cap; reached only for z within ~1e-4 of -1.
+#: Series term cap; at the default tolerance it is reached for 1 + z below
+#: about 4e-4 (3e-4 fails, 4e-4 converges).
 MAX_TERMS = 100_000
 
 #: Step bounds accepted by the finite-difference oracle.
@@ -84,9 +85,9 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     Returns
     -------
     EvalResult
-        converged is False when the term cap is reached (z within about
-        1e-4 of -1); the value is then the partial sum, with no error
-        bound: abs_err_est is inf.
+        converged is False when the term cap is reached (at the default
+        tolerance, for 1 + z below about 4e-4); the value is then the
+        partial sum, with no error bound: abs_err_est is inf.
     """
     nu = _check_degree(nu)
     z = _check_argument(z)
@@ -233,21 +234,23 @@ def nu_derivative_oracle(z: float, order: int, h: float = 0.02) -> EvalResult:
         exceeds the order's accuracy cap (`ORACLE_ERR_CAP`).
     """
     z = _check_argument(z)
-    if order not in (1, 2, 3):
-        raise DomainError(f"oracle derivative order must be 1, 2 or 3, got {order}")
+    if type(order) is not int or order not in (1, 2, 3):
+        raise DomainError(f"oracle derivative order must be an int, 1, 2 or 3, got {order!r}")
     h = float(h)
     if not (ORACLE_MIN_STEP <= h <= ORACLE_MAX_STEP):
         raise DomainError(
             f"oracle step must lie in [{ORACLE_MIN_STEP}, {ORACLE_MAX_STEP}], got {h}"
         )
 
-    fmax = 1.0
+    # degree -> P_nu(z).  The levels share points: f(0) in the order-2
+    # stencil, and +-2h at one level is +-h at the level before (the steps
+    # halve exactly), so each distinct degree is evaluated once.
+    values: dict[float, float] = {}
 
     def f(nu: float) -> float:
-        nonlocal fmax
-        val = legendre_p(nu, z, tol=1e-15).value
-        fmax = max(fmax, abs(val))
-        return val
+        if nu not in values:
+            values[nu] = legendre_p(nu, z, tol=1e-15).value
+        return values[nu]
 
     m = _ORACLE_LEVELS - 1
     tableau = [[0.0] * _ORACLE_LEVELS for _ in range(_ORACLE_LEVELS)]
@@ -259,6 +262,7 @@ def nu_derivative_oracle(z: float, order: int, h: float = 0.02) -> EvalResult:
 
     value = tableau[m][m]
     h_min = h / 2.0**m
+    fmax = max(1.0, *(abs(v) for v in values.values()))
     noise_floor = 2.0 * _STENCIL_WEIGHT_SUM[order] * EPS * fmax / h_min**order
     est = max(
         abs(tableau[m][m] - tableau[m][m - 1]),

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import DomainError, adaptive_quad
 from .legendre import d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p
 from .polylog import PI2_OVER_6, dilog, trilog
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GridSpec",
@@ -85,7 +86,6 @@ _ODE_STEP_DERIV3 = 5e-4
 # ODE grids are bounded away from +-1 to avoid 1/(1-z^2) amplification.
 _ODE_GRID_LIMIT = 0.95
 
-_FIRST_INTEGRAL_POINTS = np.linspace(-0.95, 0.95, 50)
 _LOG_FORM_SPOT_INTERVALS = ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75))
 
 
@@ -112,6 +112,10 @@ class GridSpec:
             raise DomainError(f"unknown grid spacing {self.spacing!r}")
 
     def points(self) -> np.ndarray:
+        # numpy is imported at the first grid, not with the module: it costs
+        # most of `import legnu`, and one-value evaluation never needs it
+        import numpy as np
+
         if self.spacing == "uniform":
             return np.linspace(self.start, self.end, self.count)
         mid = 0.5 * (self.start + self.end)
@@ -120,6 +124,9 @@ class GridSpec:
         pts[0] = self.start
         pts[-1] = self.end
         return pts
+
+
+_FIRST_INTEGRAL_GRID = GridSpec(-0.95, 0.95, 50)
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,8 @@ def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequen
                  tolerance: float) -> IdentityReport:
     if len(residuals) < 2:
         raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(residuals)}")
+    import numpy as np
+
     res = np.asarray(residuals, dtype=float)
     imax = int(np.argmax(res))
     return IdentityReport(
@@ -193,8 +202,10 @@ def first_integral_residuals(order: int, zs: Iterable[float]) -> np.ndarray:
     Both integration constants vanish, pinned by the value 1 at z = 1.
     No finite differences are involved, so residuals sit at rounding level.
     """
-    if order not in (2, 3):
-        raise DomainError(f"first-integral order must be 2 or 3, got {order}")
+    if type(order) is not int or order not in (2, 3):
+        raise DomainError(f"first-integral order must be an int, 2 or 3, got {order!r}")
+    import numpy as np
+
     out = []
     for z in zs:
         z = float(z)
@@ -253,7 +264,8 @@ def _check_ode_closed_form(identity_id: str, f, rhs, step: float, fi_order: int,
     # fold the stencil-free first-integral sub-check, rescaled so that it
     # fails the report exactly when it exceeds its own fixed bound
     scale = tolerance / FIRST_INTEGRAL_BOUND
-    for z, r in zip(_FIRST_INTEGRAL_POINTS, first_integral_residuals(fi_order, _FIRST_INTEGRAL_POINTS)):
+    fi_points = _FIRST_INTEGRAL_GRID.points()
+    for z, r in zip(fi_points, first_integral_residuals(fi_order, fi_points)):
         locations.append(float(z))
         residuals.append(float(r) * scale)
     return _make_report(identity_id, locations, residuals, tolerance)

@@ -279,11 +279,20 @@ def test_missing_subcommand_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # only quadrature needs scipy.integrate, and it dominates import time
+_PROBES = {
+    "import": "import legnu, legnu.cli",
+    "eval": "import legnu.cli; legnu.cli.main(['eval', '--what', 'd3', '--z', '0.3'])",
+}
+
+
+@pytest.mark.parametrize("probe", list(_PROBES))
+@pytest.mark.parametrize("module", ["scipy.integrate", "numpy"])
+def test_one_value_paths_leave_module_unloaded(module, probe):
+    # only quadrature needs scipy.integrate and only grids and reports need
+    # numpy; between them they cost most of `import legnu`
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    probe = "import sys, legnu, legnu.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    code = f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
-    assert out.strip() == "False"
+    assert out.split()[-1] == "False"

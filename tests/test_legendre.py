@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
+from legnu import legendre
 from legnu.core import DomainError
 from legnu.legendre import (
     ORACLE_ERR_CAP,
@@ -179,6 +180,34 @@ def test_oracle_boundary_and_validation():
         nu_derivative_oracle(0.5, 2, 1e-5)
     with pytest.raises(DomainError):
         nu_derivative_oracle(0.5, 2, 0.5)
+
+
+@pytest.mark.parametrize("order", [3.0, True, "3", None, np.int64(3)])
+def test_oracle_order_must_be_an_int(order):
+    with pytest.raises(DomainError, match="must be an int"):
+        nu_derivative_oracle(0.3, order)
+
+
+@pytest.mark.parametrize("order, calls", [(1, 8), (2, 9), (3, 10)])
+def test_oracle_evaluates_each_degree_once(monkeypatch, order, calls):
+    degrees = []
+
+    def counting_p(nu, z, tol=1e-14):
+        degrees.append(nu)
+        return legendre_p(nu, z, tol)
+
+    monkeypatch.setattr(legendre, "legendre_p", counting_p)
+    z, h = -0.9, 0.02
+    o = nu_derivative_oracle(z, order, h)
+    assert len(degrees) == len(set(degrees)) == calls
+    # the same Richardson tableau over stencils that evaluate every point
+    f = lambda nu: legendre_p(nu, z, tol=1e-15).value
+    row = []
+    for i in range(4):
+        prev, row = row, [legendre._stencil(f, order, h / 2.0**i)]
+        for j in range(1, i + 1):
+            row.append((4.0**j * row[j - 1] - prev[j - 1]) / (4.0**j - 1.0))
+    assert o.value == row[-1]
 
 
 def test_oracle_first_derivative_at_zero():

@@ -100,6 +100,11 @@ class TestFirstIntegrals:
         with pytest.raises(DomainError):
             first_integral_residuals(1, [0.0, 0.5])
 
+    @pytest.mark.parametrize("order", [2.0, 3.0, "2", None, np.int64(3)])
+    def test_order_must_be_an_int(self, order):
+        with pytest.raises(DomainError, match="must be an int"):
+            first_integral_residuals(order, [0.0, 0.5])
+
     def test_deriv3_source_term_vanishes_at_boundary(self):
         # right-hand side of the thrice-differentiated equation at z = 1
         from legnu.legendre import dp_dnu0
