@@ -7,7 +7,7 @@ shared mutable state, so concurrent calls are safe by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable
 
 __all__ = ["DomainError", "EvalResult", "adaptive_quad"]
@@ -23,9 +23,12 @@ class DomainError(ValueError):
     """Raised when an argument lies outside a function's supported domain."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", ("value", "abs_err_est", "converged"))):
     """A numeric value with an a-posteriori error estimate.
+
+    A named tuple: immutable, iterable as (value, abs_err_est, converged),
+    equal to a plain tuple of the same three items, and convertible with
+    ``_asdict()``.
 
     Attributes
     ----------
@@ -38,9 +41,7 @@ class EvalResult:
         value is then a best effort and must not be trusted silently.
     """
 
-    value: float
-    abs_err_est: float
-    converged: bool
+    __slots__ = ()
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -> EvalResult:

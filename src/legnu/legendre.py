@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .core import EPS, DomainError, EvalResult
-from .polylog import _LI2, ZETA3, _t_series, dilog, trilog
+from .polylog import _LI2_ODD, ZETA3, _horner, dilog, trilog
 
 __all__ = [
     "legendre_p",
@@ -46,8 +46,9 @@ ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
 
 _ORACLE_LEVELS = 4  # base step plus three halvings
 
-# coefficient n of Li2's Bernoulli series integrated once more: B_n / ((n+2) (n+1)!)
-_LI2_INTEGRAL = tuple(c / (n + 2) for n, c in enumerate(_LI2))
+# Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
+# the coefficient of s^(2k+4)
+_LI2_INTEGRAL = tuple(c / (2 * k + 4) for k, c in enumerate(_LI2_ODD))
 
 
 def _check_argument(z: float) -> float:
@@ -142,17 +143,20 @@ def d3p_dnu3_0(z: float) -> float:
 
     With v = (z+1)/2:
     12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
-    which vanishes at z = 1 where v = 1.  Its terms cancel as z -> 1, so
-    for z > 1/2 the first integral is summed instead: with w = (1-z)/2,
-    6 times the integral of Li2(t)/(1-t) over [0, w].  The substitution
+    which vanishes at z = 1 where v = 1.  For z <= 1/2 the closed form is
+    evaluated through `trilog` and `dilog` at v <= 3/4 (above v = 1/2 both
+    sum their expansion about 1).  Its terms cancel as z -> 1, so for
+    z > 1/2 the first integral is summed instead: with w = (1-z)/2, 6 times
+    the integral of Li2(t)/(1-t) over [0, w].  The substitution
     s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
-    series in s, 6 sum_n B_n S^(n+2) / ((n+2) (n+1)!) with S = -ln(1-w)
-    <= ln(4/3), which is summed by Horner's rule like the kernels.
+    series in s, 3 S^2 - S^3/2 + 6 sum_k B_(2k+2) S^(2k+4) /
+    ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln(4/3), which is summed over its
+    nonzero terms by Horner's rule in S^2, like the kernels.
     """
     z = _check_argument(z)
     if z > 0.5:
         s = -math.log1p(-0.5 * (1.0 - z))
-        return 6.0 * s * _t_series(s, _LI2_INTEGRAL)[0] + 0.0
+        return s * s * (3.0 - s * (0.5 - 6.0 * s * _horner(s * s, _LI2_INTEGRAL))) + 0.0
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
     return (

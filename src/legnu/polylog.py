@@ -1,10 +1,11 @@
 """Dilogarithm and trilogarithm on [0, 1], plus the constants they pin down.
 
 The evaluators target a relative accuracy of 1e-13 in binary64 (absolute
-1e-15 near zero).  Both sum a fixed Bernoulli series in t = -ln(1-x) by
-Horner's rule; above x = 1/2 the argument is first reduced through a
-reflection identity, so the series is only summed at |t| <= ln 2, where
-20 terms reach full binary64 precision.
+1e-15 near zero).  Each sums one short fixed series by Horner's rule, with
+no reflection or Landen step: at or below x = 1/2 the Bernoulli series in
+t = -ln(1-x), above it the expansion about x = 1 in mu = ln(x).  Both
+variables stay within ln 2 in size, where at most 20 terms reach full
+binary64 precision.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ ZETA3 = 1.2020569031595942854
 #: Relative accuracy contract of dilog/trilog on [0, 1].
 REL_ACCURACY = 1e-13
 
-#: Li2(x) = sum_n B_n t^(n+1) / (n+1)! with t = -ln(1-x) and B_1 = -1/2
-#: ('t Hooft & Veltman 1979; DLMF 25.12); entry n is B_n / (n+1)!.
-_LI2 = (
-    1.0, -0.25, 0.027777777777777776, 0.0, -0.0002777777777777778, 0.0, 4.72411186696901e-06,
-    0.0, -9.185773074661964e-08, 0.0, 1.8978869988971e-09, 0.0, -4.0647616451442256e-11, 0.0,
-    8.921691020456452e-13, 0.0, -1.9939295860721074e-14, 0.0, 4.518980029619918e-16,
+#: Li2(x) = t - t^2/4 + sum_k B_(2k+2) t^(2k+3) / (2k+3)! with t = -ln(1-x)
+#: ('t Hooft & Veltman 1979; DLMF 25.12): the odd Bernoulli numbers past B_1
+#: vanish, so entry k is B_(2k+2) / (2k+3)!, the coefficient of t^(2k+3).
+_LI2_ODD = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
 )
 
 #: Li3(x) = sum_N c_N t^(N+1), integrated from dLi3/dt = Li2 / (e^t - 1):
@@ -43,6 +45,35 @@ _LI3 = (
     5.261758629912506e-15, -7.538479549949265e-16, -1.1862322577752286e-16,
 )
 
+#: Li2(e^mu) and Li3(e^mu) expanded about x = 1 in mu = ln(x) (DLMF 25.12;
+#: Wood, "The Computation of Polylogarithms", 1992; see `dilog`, `trilog`),
+#: convergent for |mu| < 2 pi.  zeta vanishes at the even negative integers;
+#: entry j is the coefficient zeta(-1-2j) / (2j+3)! of mu^(2j+3) in Li2 and
+#: zeta(-1-2j) / (2j+4)! of mu^(2j+4) in Li3, zeta(-m) = -B_(m+1) / (m+1).
+_LI2_NEAR1 = (
+    -0.013888888888888888, 6.944444444444444e-05, -7.873519778281683e-07,
+    1.1482216343327455e-08, -1.8978869988971e-10, 3.387301370953521e-12,
+    -6.372636443183181e-14, 1.2462059912950672e-15,
+)
+_LI3_NEAR1 = (
+    -0.003472222222222222, 1.1574074074074073e-05, -9.841899722852104e-08,
+    1.1482216343327454e-09, -1.5815724990809165e-11, 2.4195009792525154e-13,
+    -3.982897776989488e-15,
+)
+
+# Error bounds, with EPS one ulp of 1.  At or below 1/2, 0 <= t <= ln 2 and
+# sum_n |c_n| (ln 2)^n <= 1.31 over the coefficient c_n of t^(n+1) in either
+# t-series.  Horner's rule rounds term n at most 2n + 2 times (also when Li2
+# is summed in t^2) and t carries up to one ulp: under 3.3 EPS t in all.
+_BELOW_HALF_ERR = 6.0 * EPS  # times t
+# Above 1/2, -ln 2 <= mu < 0.  The terms are at most zeta(2), 0.95, 0.12 and
+# 0.005 (Li2) and zeta(3), 1.14, 0.45, 0.03 and 0.001 (Li3) in size; mu and
+# ln(-mu) carry up to one ulp each, an error in mu moves Li2 by -ln(1-x) and
+# Li3 by Li2(x) times it, and mu ln(-mu), mu^2 ln(-mu) stay below 0.37.  All
+# roundings, maximised over the branch, come to under 2.9 EPS (Li2) and
+# 2.5 EPS (Li3).  Past every table the terms sum below 1e-19 (times t in t).
+_ABOVE_HALF_ERR = 4.0 * EPS
+
 
 def _check_unit_interval(x: float) -> float:
     x = float(x)
@@ -51,18 +82,12 @@ def _check_unit_interval(x: float) -> float:
     return x
 
 
-def _t_series(t: float, coeffs: tuple[float, ...]) -> tuple[float, float]:
-    """Sum c_n t^(n+1) over a coefficient table by Horner's rule.
-
-    Returns (value, error bound) for |t| <= ln 2.  There every table has
-    sum_n |c_n| (ln 2)^n <= 1.31.  Horner's rule rounds term n at most
-    2n + 2 times and t carries up to one ulp, which costs under 3.3 EPS |t|
-    in all, and the terms past the table sum to less than 1e-19 |t|.
-    """
+def _horner(y: float, coeffs: tuple[float, ...]) -> float:
+    """Sum c_k y^k over a coefficient table by Horner's rule."""
     total = 0.0
     for c in reversed(coeffs):
-        total = total * t + c
-    return total * t, 6.0 * EPS * abs(t)
+        total = total * y + c
+    return total
 
 
 def dilog(x: float) -> EvalResult:
@@ -86,24 +111,25 @@ def dilog(x: float) -> EvalResult:
 
     Notes
     -----
-    Summed as the Bernoulli series in t = -ln(1-x), 19 fixed terms.  For
-    x > 1/2 the argument is first reduced through the Euler reflection
-    Li2(x) + Li2(1-x) = pi^2/6 - ln(x) ln(1-x), where Li2(1-x) has
-    t = -ln(x); so |t| <= ln 2 wherever the series is summed.
+    For x <= 1/2, the Bernoulli series in t = -ln(1-x) <= ln 2, summed over
+    its nonzero terms: t - t^2/4 + t^3 times 9 fixed terms in t^2.  Above
+    1/2, the expansion about x = 1 in mu = ln(x), |mu| <= ln 2:
+    zeta(2) + mu (1 - ln(-mu)) - mu^2/4 + mu^3 times 8 fixed terms in mu^2.
+    abs_err_est is 6 EPS t at or below 1/2 and 4 EPS above, with EPS one
+    ulp of 1; `_BELOW_HALF_ERR` and `_ABOVE_HALF_ERR` derive both bounds.
     """
     x = _check_unit_interval(x)
-    if x == 0.0:
-        return EvalResult(0.0, 0.0, True)
+    if x <= 0.5:
+        t = -math.log1p(-x)
+        value = t * (1.0 - t * (0.25 - t * _horner(t * t, _LI2_ODD)))
+        return EvalResult(value, _BELOW_HALF_ERR * t, True)
     if x == 1.0:
         return EvalResult(PI2_OVER_6, EPS * PI2_OVER_6, True)
-    if x <= 0.5:
-        value, est = _t_series(-math.log1p(-x), _LI2)
-        return EvalResult(value, est, True)
-    lx = math.log(x)
-    series, est = _t_series(-lx, _LI2)
-    cross = lx * math.log1p(-x)
-    value = PI2_OVER_6 - cross - series
-    return EvalResult(value, est + 2.0 * EPS * (PI2_OVER_6 + abs(cross)), True)
+    mu = math.log(x)
+    value = PI2_OVER_6 + mu * (
+        1.0 - math.log(-mu) - mu * (0.25 - mu * _horner(mu * mu, _LI2_NEAR1))
+    )
+    return EvalResult(value, _ABOVE_HALF_ERR, True)
 
 
 def trilog(x: float) -> EvalResult:
@@ -114,29 +140,22 @@ def trilog(x: float) -> EvalResult:
 
     Notes
     -----
-    Summed as the Bernoulli series in t = -ln(1-x), 20 fixed terms.  For
-    x > 1/2 the argument is first reduced by the Landen three-term identity
-    Li3(x) + Li3(1-x) + Li3(1-1/x)
-    = zeta(3) + ln(x)^3/6 + (pi^2/6) ln(x) - ln(x)^2 ln(1-x) / 2,
-    whose auxiliary arguments have t = -ln(x) and t = ln(x); so |t| <= ln 2
-    wherever the series is summed.
+    For x <= 1/2, the series in t = -ln(1-x) <= ln 2, 20 fixed terms.  Above
+    1/2, the expansion about x = 1 in mu = ln(x), |mu| <= ln 2:
+    zeta(3) + zeta(2) mu + (3/4 - ln(-mu)/2) mu^2 - mu^3/12 + mu^4 times
+    7 fixed terms in mu^2.  Error bounds as for `dilog`.
     """
     x = _check_unit_interval(x)
-    if x == 0.0:
-        return EvalResult(0.0, 0.0, True)
+    if x <= 0.5:
+        t = -math.log1p(-x)
+        return EvalResult(t * _horner(t, _LI3), _BELOW_HALF_ERR * t, True)
     if x == 1.0:
         return EvalResult(ZETA3, EPS * ZETA3, True)
-    if x <= 0.5:
-        value, est = _t_series(-math.log1p(-x), _LI3)
-        return EvalResult(value, est, True)
-    lx = math.log(x)
-    l1mx = math.log1p(-x)
-    known = ZETA3 + lx**3 / 6.0 + PI2_OVER_6 * lx - 0.5 * lx * lx * l1mx
-    s_a, est_a = _t_series(-lx, _LI3)
-    s_b, est_b = _t_series(lx, _LI3)
-    value = known - s_a - s_b
-    est = est_a + est_b + 4.0 * EPS * (ZETA3 + abs(PI2_OVER_6 * lx) + abs(lx * lx * l1mx))
-    return EvalResult(value, est, True)
+    mu = math.log(x)
+    value = ZETA3 + mu * (PI2_OVER_6 + mu * (
+        0.75 - 0.5 * math.log(-mu) - mu * (1.0 / 12.0 - mu * _horner(mu * mu, _LI3_NEAR1))
+    ))
+    return EvalResult(value, _ABOVE_HALF_ERR, True)
 
 
 def zeta3() -> float:

@@ -106,8 +106,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.start < self.end):
             raise DomainError(f"grid requires start < end, got [{self.start}, {self.end}]")
-        if self.count < 2:
-            raise DomainError(f"grid requires count >= 2, got {self.count}")
+        if type(self.count) is not int or self.count < 2:
+            raise DomainError(f"grid requires an int count >= 2, got {self.count!r}")
         if self.spacing not in ("uniform", "chebyshev"):
             raise DomainError(f"unknown grid spacing {self.spacing!r}")
 

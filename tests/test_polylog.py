@@ -16,8 +16,10 @@ from scipy.special import spence
 from legnu.core import DomainError, adaptive_quad
 from legnu.legendre import _LI2_INTEGRAL
 from legnu.polylog import (
-    _LI2,
+    _LI2_NEAR1,
+    _LI2_ODD,
     _LI3,
+    _LI3_NEAR1,
     PI2_OVER_6,
     ZETA3,
     dilog,
@@ -190,20 +192,47 @@ def _bernoulli(n: int) -> list[Fraction]:
 
 
 def test_series_tables_match_exact_definitions():
-    n_exact = 40  # far enough that the terms past it are below 1e-35 |t|
-    b = _bernoulli(n_exact)
-    li2 = [b[n] / math.factorial(n + 1) for n in range(n_exact)]
-    li3 = [sum(b[k] * b[m - k] / (math.factorial(k + 1) * math.factorial(m - k))
-               for k in range(m + 1)) / (m + 1) for m in range(n_exact)]
-    li2_integral = [c / (n + 2) for n, c in enumerate(li2)]
-    assert _LI2 == tuple(float(c) for c in li2[:len(_LI2)])
-    assert _LI3 == tuple(float(c) for c in li3[:len(_LI3)])
+    b = _bernoulli(64)
+    fact = math.factorial
+    n_exact = 30  # exact terms per series, far past every stored table
+
+    def zeta_neg(m):  # zeta(-m) = -B_(m+1) / (m+1) for m >= 1
+        return -b[m + 1] / (m + 1)
+
+    li2_odd = [b[2 * k + 2] / fact(2 * k + 3) for k in range(n_exact)]
+    li3 = [sum(b[k] * b[m - k] / (fact(k + 1) * fact(m - k)) for k in range(m + 1)) / (m + 1)
+           for m in range(n_exact)]
+    li2_integral = [c / (2 * k + 4) for k, c in enumerate(li2_odd)]
+    li2_near1 = [zeta_neg(1 + 2 * j) / fact(2 * j + 3) for j in range(n_exact)]
+    li3_near1 = [zeta_neg(1 + 2 * j) / fact(2 * j + 4) for j in range(n_exact)]
+    for table, exact in ((_LI2_ODD, li2_odd), (_LI3, li3), (_LI2_NEAR1, li2_near1),
+                         (_LI3_NEAR1, li3_near1)):
+        assert table == tuple(float(c) for c in exact[:len(table)])
+    assert len(_LI2_INTEGRAL) == len(_LI2_ODD)
     for c, exact in zip(_LI2_INTEGRAL, li2_integral):
         assert abs(c - exact) <= math.ulp(c)
-    # polylog's rounding allowance assumes sum_n |c_n| (ln 2)^n <= 1.31 and
-    # that the terms past each table sum to less than 1e-19 |t| at |t| <= ln 2
+
+    # The rounding allowances assume, at |t|, |mu| <= ln 2: sum |c| (ln 2)^k
+    # <= 1.31 for each series in t, with the leading terms the kernels sum
+    # outside their tables and k counted from the series' lowest power; at
+    # most 0.005 (Li2) and 0.001 (Li3) in all for the table terms about
+    # x = 1; and terms past every table summing to less than 1e-19, in t
+    # relative to the lowest power.  Each case: terms outside the table as
+    # (coefficient, power), the exact table, the power of its first entry
+    # and its step, the stored table, the power the sizes are relative to,
+    # the bound.
     ln2 = Fraction(math.log(2.0))
-    for exact, table in ((li2, _LI2), (li3, _LI3), (li2_integral, _LI2_INTEGRAL)):
-        weights = [abs(c) * ln2**n for n, c in enumerate(exact)]
-        assert sum(weights) <= Fraction(131, 100)
-        assert sum(weights[len(table):]) < 1e-19
+    cases = (
+        ([(Fraction(1), 1), (Fraction(-1, 4), 2)], li2_odd, 3, 2, _LI2_ODD, 1,
+         Fraction(131, 100)),
+        ([], li3, 1, 1, _LI3, 1, Fraction(131, 100)),
+        ([(Fraction(1, 2), 2), (Fraction(-1, 12), 3)], li2_integral, 4, 2, _LI2_INTEGRAL, 2,
+         Fraction(131, 100)),
+        ([], li2_near1, 3, 2, _LI2_NEAR1, 0, Fraction(5, 1000)),
+        ([], li3_near1, 4, 2, _LI3_NEAR1, 0, Fraction(1, 1000)),
+    )
+    for head, exact, first, step, table, rel, bound in cases:
+        terms = head + [(c, first + step * k) for k, c in enumerate(exact)]
+        weights = [abs(c) * ln2 ** (p - rel) for c, p in terms]
+        assert sum(weights) <= bound
+        assert sum(weights[len(head) + len(table):]) < 1e-19

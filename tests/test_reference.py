@@ -67,26 +67,35 @@ def test_d3_vanishes_exactly_at_one():
 
 # With a fixed rounding allowance, 22 (Li2) and 14 (Li3) of the uniform points
 # had an error above the estimate.  The edges 10^-k and 1 - 10^-k, both sides
-# of the branch point 1/2 and the interval (1/2, 2/3), where Li3 once used a
-# duplication formula, are added.
+# of the branch point 1/2, the interval (1/2, 2/3), where Li3 once used a
+# duplication formula, and 1001 points of (1/2, 1), where both kernels sum
+# their expansion about x = 1, are added.
 POLYLOG_GRID = (
     [float(x) for x in np.linspace(0.0, 1.0, 1001)]
     + [10.0**-k for k in range(1, 17)] + [1.0 - 10.0**-k for k in range(1, 17)]
     + [math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
     + [float(x) for x in np.linspace(0.5, 2.0 / 3.0, 101)]
+    + [float(x) for x in np.linspace(0.5, 1.0, 1003)[1:-1]]
 )
+
+#: Worst relative error of dilog and trilog against mpmath.
+POLYLOG_REL = 6e-16
 
 
 @pytest.mark.parametrize("s, func", [(2, dilog), (3, trilog)])
 def test_polylog_error_within_estimate(s, func):
     misses = []
+    worst = (0.0, 0.0)
     with mp.workdps(30):
         for x in POLYLOG_GRID:
             r = func(x)
-            err = float(abs(mp.mpf(r.value) - mp.polylog(s, mp.mpf(x))))
+            ref = mp.polylog(s, mp.mpf(x))
+            err = float(abs(mp.mpf(r.value) - ref))
             if not (r.converged and err <= r.abs_err_est):
                 misses.append((x, err, r.abs_err_est))
+            worst = max(worst, (_rel_err(r.value, ref), x))
     assert not misses, f"Li{s}: {len(misses)} misses, first {misses[0]}"
+    assert worst[0] <= POLYLOG_REL, f"Li{s}: relative error {worst[0]:.3g} at x = {worst[1]!r}"
 
 
 LEGENDRE_Z = [float(z) for z in np.linspace(-0.99, 1.0, 50)] + [

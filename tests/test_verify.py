@@ -38,6 +38,12 @@ class TestGridSpec:
         with pytest.raises(DomainError):
             GridSpec(0.0, 1.0, 10, "log")
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None, True])
+    def test_count_must_be_an_int(self, count):
+        # 2.5 used to leak numpy's TypeError from points(), "3" a TypeError from <
+        with pytest.raises(DomainError, match="int count"):
+            GridSpec(0.0, 1.0, count)
+
     def test_uniform_points(self):
         pts = GridSpec(-0.5, 1.0, 4).points()
         assert pts[0] == -0.5 and pts[-1] == 1.0
