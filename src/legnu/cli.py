@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
 
 from .core import DomainError, EvalResult
 from .legendre import (_degree_partial_sums, d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p,
@@ -171,7 +170,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         n_pass = sum(r.passed for r in reports)
         print(f"{n_pass}/{len(reports)} identities passed")
     else:
-        _print_table(args.format, [asdict(r) for r in reports])
+        _print_table(args.format, [r._asdict() for r in reports])
 
     for r in reports:
         if not r.passed:

@@ -27,7 +27,7 @@ same grid reproduces residual statistics bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import DomainError, adaptive_quad
@@ -89,27 +89,29 @@ _ODE_GRID_LIMIT = 0.95
 _LOG_FORM_SPOT_INTERVALS = ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
     """An inclusive sampled range with at least two points.
 
     spacing may be "uniform" or "chebyshev" (Chebyshev-Lobatto points,
     clustered toward the endpoints); points are always returned ascending
-    with the endpoints hit exactly.
+    with the endpoints hit exactly.  A named tuple, like `EvalResult`,
+    validated on construction, by ``_make`` and by ``_replace`` too.
     """
 
-    start: float
-    end: float
-    count: int
-    spacing: str = "uniform"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.start < self.end):
-            raise DomainError(f"grid requires start < end, got [{self.start}, {self.end}]")
-        if type(self.count) is not int or self.count < 2:
-            raise DomainError(f"grid requires an int count >= 2, got {self.count!r}")
-        if self.spacing not in ("uniform", "chebyshev"):
-            raise DomainError(f"unknown grid spacing {self.spacing!r}")
+    def __new__(cls, start: float, end: float, count: int, spacing: str = "uniform"):
+        if not (start < end):
+            raise DomainError(f"grid requires start < end, got [{start}, {end}]")
+        if type(count) is not int or count < 2:
+            raise DomainError(f"grid requires an int count >= 2, got {count!r}")
+        if spacing not in ("uniform", "chebyshev"):
+            raise DomainError(f"unknown grid spacing {spacing!r}")
+        return super().__new__(cls, start, end, count, spacing)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def points(self) -> np.ndarray:
         # numpy is imported at the first grid, not with the module: it costs
@@ -129,17 +131,13 @@ class GridSpec:
 _FIRST_INTEGRAL_GRID = GridSpec(-0.95, 0.95, 50)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residual statistics of one identity over one sample grid."""
+class IdentityReport(namedtuple("IdentityReport", (
+        "identity_id", "samples", "max_residual", "mean_residual", "argmax_location",
+        "tolerance", "passed"))):
+    """Residual statistics of one identity over one sample grid (a named
+    tuple, like `EvalResult`)."""
 
-    identity_id: str
-    samples: int
-    max_residual: float
-    mean_residual: float
-    argmax_location: float
-    tolerance: float
-    passed: bool
+    __slots__ = ()
 
 
 def _tolerance(identity_id: str, value: float | None) -> float:

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -189,7 +188,7 @@ class TestVerify:
                 "identity_id", "samples", "max_residual", "mean_residual",
                 "argmax_location", "tolerance", "passed",
             ]
-            assert asdict(IdentityReport(**rec)) == rec
+            assert IdentityReport(**rec)._asdict() == rec
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "csv")
@@ -285,14 +284,28 @@ _PROBES = {
 }
 
 
-@pytest.mark.parametrize("probe", list(_PROBES))
-@pytest.mark.parametrize("module", ["scipy.integrate", "numpy"])
-def test_one_value_paths_leave_module_unloaded(module, probe):
-    # only quadrature needs scipy.integrate and only grids and reports need
-    # numpy; between them they cost most of `import legnu`
+def _probe_output(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports legnu from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+
+
+@pytest.mark.parametrize("probe", list(_PROBES))
+@pytest.mark.parametrize("module", ["numpy"])
+def test_one_value_paths_leave_module_unloaded(module, probe):
+    # only grids and reports need numpy, which costs most of `import legnu`
+    out = _probe_output(f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)")
     assert out.split()[-1] == "False"
+
+
+def test_no_path_loads_scipy():
+    # quadrature is the package's own G7-K15 rule; the suite and the integral
+    # oracle are the only callers
+    out = _probe_output(
+        "import sys, legnu.cli; legnu.cli.main(['verify']); "
+        "legnu.dilog_integral_oracle(0.5, 1e-12); "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    assert out.splitlines()[-1] == "[]"

@@ -1,11 +1,14 @@
-"""Tests for the shared result record."""
+"""Tests for the shared result record and the adaptive quadrature rule."""
 
+import math
 import pickle
 
 import pytest
 
-from legnu.core import EvalResult
-from legnu.polylog import dilog
+from legnu import core, verify
+from legnu.core import EvalResult, adaptive_quad
+from legnu.polylog import dilog, dilog_integral_oracle
+from legnu.verify import GridSpec
 
 
 def test_fields_cannot_be_assigned():
@@ -41,3 +44,101 @@ def test_pickle_round_trip():
     back = pickle.loads(pickle.dumps(r))
     assert type(back) is EvalResult
     assert back == r
+
+
+# ---------------------------------------------------------------------------
+# adaptive_quad: the G7-K15 tables, the error bound, and non-convergence
+
+
+@pytest.mark.parametrize("weights, nodes, degree", [
+    (core._W15, core._X15, 22),
+    (core._W7, core._X15[1::2], 13),
+], ids=["kronrod15", "gauss7"])
+def test_rule_integrates_polynomials_exactly(weights, nodes, degree):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for k in range(degree + 1):
+            got = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(weights, nodes))
+            exact = mp.mpf(2) / (k + 1) if k % 2 == 0 else mp.mpf(0)
+            assert abs(got - exact) <= 1e-15, f"t^{k}: error {float(got - exact):.3g}"
+
+
+def _suite_quadratures():
+    """(integrand, its mpmath form, a, b, tol) of every quadrature the two
+    integral checks of the default suite run; tol is 1 % of the identity's."""
+    li2 = (lambda t: dilog(t).value, lambda mp, t: mp.polylog(2, t))
+    ratio = (lambda t: dilog(t).value / (1.0 - t), lambda mp, t: mp.polylog(2, t) / (1 - t))
+
+    def intervals(grid):
+        pts = [float(t) for t in grid.points()]
+        return zip(pts[:-1], pts[1:])
+
+    return ([(*li2, a, b, 1e-12) for a, b in intervals(GridSpec(0.0, 0.99, 11))]
+            + [(*ratio, a, b, 1e-11) for a, b in intervals(GridSpec(0.05, 0.95, 11))]
+            + [(*ratio, a, b, 1e-10) for a, b in verify._LOG_FORM_SPOT_INTERVALS])
+
+
+def _assert_estimate_bounds_error(result, exact):
+    assert result.converged
+    err = abs(result.value - exact)
+    assert err <= result.abs_err_est, f"error {err:.3g} > estimate {result.abs_err_est:.3g}"
+
+
+def test_estimate_bounds_error_on_the_suite_intervals():
+    mp = pytest.importorskip("mpmath")
+    cases = _suite_quadratures()
+    assert len(cases) == 23
+    for f, f_mp, a, b, tol in cases:
+        with mp.workdps(20):
+            exact = mp.quad(lambda t: f_mp(mp, t), [a, b])
+        _assert_estimate_bounds_error(adaptive_quad(f, a, b, tol), exact)
+
+
+@pytest.mark.parametrize("x", [0.001, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.995, 0.999])
+def test_estimate_bounds_error_of_the_integral_oracle(x):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = mp.polylog(2, x)
+    _assert_estimate_bounds_error(dilog_integral_oracle(x, 1e-12), exact)
+
+
+@pytest.mark.parametrize("f, exact", [
+    (math.exp, lambda mp: mp.e - 1),
+    (math.sqrt, lambda mp: mp.mpf(2) / 3),  # unbounded derivative at 0
+], ids=["exp", "sqrt"])
+def test_estimate_bounds_error_on_the_unit_interval(f, exact):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        ref = exact(mp)
+    _assert_estimate_bounds_error(adaptive_quad(f, 0.0, 1.0, 1e-12), ref)
+
+
+def test_reversed_interval_changes_the_sign():
+    forward = adaptive_quad(math.exp, 0.0, 1.0, 1e-12)
+    backward = adaptive_quad(math.exp, 1.0, 0.0, 1e-12)
+    assert backward.converged and backward.abs_err_est == pytest.approx(forward.abs_err_est)
+    assert abs(backward.value + forward.value) <= 4 * math.ulp(forward.value)
+
+
+def test_empty_interval_is_exactly_zero():
+    assert adaptive_quad(math.exp, 0.5, 0.5, 1e-12) == EvalResult(0.0, 0.0, True)
+
+
+def test_subinterval_cap_is_reported_not_raised():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.sin(t)
+
+    r = adaptive_quad(f, 0.0, 1.0, 1e-300)
+    assert not r.converged
+    # one rule on [0, 1], then two per bisection until the cap
+    assert len(calls) == 15 * (2 * core.QUAD_SUBINTERVAL_CAP - 1)
+    assert abs(r.value - (1.0 - math.cos(1.0))) <= r.abs_err_est
+
+
+def test_nan_estimate_is_not_converged():
+    r = adaptive_quad(lambda t: math.nan if t > 0.5 else 1.0, 0.0, 1.0, 1e-12)
+    assert not r.converged and math.isnan(r.abs_err_est)
+

@@ -13,6 +13,7 @@ from legnu.verify import (
     DEFAULT_TOLERANCES,
     IDENTITY_IDS,
     GridSpec,
+    IdentityReport,
     check_dilog_antiderivative,
     check_euler_reflection,
     check_li2_over_1mz_integral,
@@ -43,6 +44,21 @@ class TestGridSpec:
         # 2.5 used to leak numpy's TypeError from points(), "3" a TypeError from <
         with pytest.raises(DomainError, match="int count"):
             GridSpec(0.0, 1.0, count)
+
+    def test_record_contract(self):
+        g = GridSpec(-0.5, 1.0, 4)
+        assert repr(g) == "GridSpec(start=-0.5, end=1.0, count=4, spacing='uniform')"
+        assert g == GridSpec(-0.5, 1.0, 4, "uniform") and hash(g) == hash(GridSpec(-0.5, 1.0, 4))
+        assert g != GridSpec(-0.5, 1.0, 5)
+        with pytest.raises(AttributeError):
+            g.count = 5
+        assert g._replace(spacing="chebyshev").spacing == "chebyshev"
+
+    def test_replace_and_make_validate(self):
+        with pytest.raises(DomainError, match="int count"):
+            GridSpec(0.0, 1.0, 3)._replace(count=1)
+        with pytest.raises(DomainError, match="start < end"):
+            GridSpec._make((1.0, 0.0, 3, "uniform"))
 
     def test_uniform_points(self):
         pts = GridSpec(-0.5, 1.0, 4).points()
@@ -257,6 +273,16 @@ class TestSerialization:
         for line, rep in zip(lines, reports):
             assert line.startswith(rep.identity_id)
             assert ("pass" in line) == rep.passed
+
+    def test_report_record_contract(self):
+        r = IdentityReport("euler_reflection", 101, 2e-16, 1e-16, 0.5, 1e-12, True)
+        assert repr(r) == (
+            "IdentityReport(identity_id='euler_reflection', samples=101, max_residual=2e-16, "
+            "mean_residual=1e-16, argmax_location=0.5, tolerance=1e-12, passed=True)"
+        )
+        assert IdentityReport(**r._asdict()) == r and hash(IdentityReport(*r)) == hash(r)
+        with pytest.raises(AttributeError):
+            r.passed = False
 
     def test_default_tolerances_cover_all_identities(self):
         assert set(DEFAULT_TOLERANCES) == set(IDENTITY_IDS)
