@@ -293,9 +293,10 @@ def _probe_output(code: str) -> str:
 
 
 @pytest.mark.parametrize("probe", list(_PROBES))
-@pytest.mark.parametrize("module", ["numpy"])
+@pytest.mark.parametrize("module", ["scipy.integrate", "numpy"])
 def test_one_value_paths_leave_module_unloaded(module, probe):
-    # only grids and reports need numpy, which costs most of `import legnu`
+    # no path needs scipy.integrate and only grids and reports need numpy,
+    # which costs most of `import legnu`
     out = _probe_output(f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)")
     assert out.split()[-1] == "False"
 
