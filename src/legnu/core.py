@@ -72,9 +72,10 @@ _W15 = _WK + _WK[-2::-1]
 _W7 = _WG + _WG[-2::-1]
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """The 15-point Kronrod value of the integral over [a, b] and QUADPACK's
-    qk15 error estimate for it."""
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+    """The 15-point Kronrod value of the integral over [a, b], QUADPACK's
+    qk15 error estimate for it, and the rounding floor 50 EPS resabs below
+    which that estimate is never put."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fv = [f(c + h * x) for x in _X15]
     kronrod = sum(map(mul, _W15, fv))
@@ -85,7 +86,8 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # max keeps a NaN err because it comes first
-    return h * kronrod, max(err, 50.0 * EPS * resabs)
+    floor = 50.0 * EPS * resabs
+    return h * kronrod, max(err, floor), floor
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -> EvalResult:
@@ -94,27 +96,36 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
     Global adaptive bisection over QUADPACK's 15-point Gauss-Kronrod rule:
     each step halves the subinterval with the largest error estimate, until
     the estimates sum to at most ``tol`` or there are
-    ``QUAD_SUBINTERVAL_CAP`` subintervals.  The value and the estimate are
-    the ``math.fsum`` of the subintervals' values and estimates.
-    Non-convergence, including a NaN estimate, is reported through the
-    result flag, never raised.
+    ``QUAD_SUBINTERVAL_CAP`` subintervals.  A subinterval whose estimate is
+    at its rounding floor is set aside unhalved, because halving does not
+    lower the floor's sum; once all are, the loop stops.  The value and the
+    estimate are the ``math.fsum`` of the subintervals' values and
+    estimates.  Non-convergence, including a NaN estimate, is reported
+    through the result flag, never raised.
     """
     if not (0.0 < tol < math.inf):
         raise DomainError(f"quadrature tolerance must be positive and finite, got {tol}")
     if a == b:
         return EvalResult(0.0, 0.0, True)
-    value, err = _gk15(f, a, b)
-    heap = [(-err, a, b, value)]  # largest estimate first
-    # the running total only steers the loop, and a NaN ends it; the result
-    # is summed afresh
+    value, err, floor = _gk15(f, a, b)
+    heap = [(-err, a, b, value, floor)]  # largest estimate first
+    done = []  # subintervals set aside at their floor
+    # a running total steers the loop, and a NaN ends it; it is summed
+    # afresh whenever it reaches tol, so the stop and the flag agree
     total = err
-    while total > tol and len(heap) < QUAD_SUBINTERVAL_CAP:
-        neg_err, lo, hi, _ = heapq.heappop(heap)
+    while total > tol and heap and len(heap) + len(done) < QUAD_SUBINTERVAL_CAP:
+        item = heapq.heappop(heap)
+        neg_err, lo, hi, _, floor = item
+        if -neg_err <= floor:
+            done.append(item)
+            continue
         mid = 0.5 * (lo + hi)
         for sub in ((lo, mid), (mid, hi)):
-            value, err = _gk15(f, *sub)
-            heapq.heappush(heap, (-err, *sub, value))
+            value, err, floor = _gk15(f, *sub)
+            heapq.heappush(heap, (-err, *sub, value, floor))
             total += err
         total += neg_err
-    err = math.fsum(-item[0] for item in heap)
-    return EvalResult(math.fsum(item[3] for item in heap), err, err <= tol)
+        if total <= tol:
+            total = math.fsum(-item[0] for item in heap + done)
+    err = math.fsum(-item[0] for item in heap + done)
+    return EvalResult(math.fsum(item[3] for item in heap + done), err, err <= tol)

@@ -143,18 +143,18 @@ def d3p_dnu3_0(z: float) -> float:
 
     With v = (z+1)/2:
     12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
-    which vanishes at z = 1 where v = 1.  For z < 0 the closed form is
-    evaluated through `trilog` and `dilog` at v < 1/2.  Its terms cancel
-    from z = 0 upwards, worst as z -> 1, so for z >= 0 the first integral
-    is summed instead: with w = (1-z)/2, 6 times the integral of Li2(t)/(1-t) over
-    [0, w].  The substitution s = -ln(1-t) turns it into 6 times the
-    integral of Li2's Bernoulli series in s, 3 S^2 - S^3/2 +
-    6 sum_k B_(2k+2) S^(2k+4) / ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln 2,
-    which is summed over its nonzero terms by Horner's rule in S^2, like
-    the kernels.
+    which vanishes at z = 1 where v = 1.  For z <= 1/2 the closed form is
+    evaluated through `trilog` and `dilog` at v <= 3/4 (above v = 1/2 both
+    sum their expansion about 1).  Its terms cancel as z -> 1, so for
+    z > 1/2 the first integral is summed instead: with w = (1-z)/2, 6 times
+    the integral of Li2(t)/(1-t) over [0, w].  The substitution
+    s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
+    series in s, 3 S^2 - S^3/2 + 6 sum_k B_(2k+2) S^(2k+4) /
+    ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln(4/3), which is summed over its
+    nonzero terms by Horner's rule in S^2, like the kernels.
     """
     z = _check_argument(z)
-    if z >= 0.0:
+    if z > 0.5:
         s = -math.log1p(-0.5 * (1.0 - z))
         return s * s * (3.0 - s * (0.5 - 6.0 * s * _horner(s * s, _LI2_INTEGRAL))) + 0.0
     v = 0.5 * (z + 1.0)

@@ -129,13 +129,35 @@ def test_subinterval_cap_is_reported_not_raised():
 
     def f(t):
         calls.append(t)
-        return math.sin(t)
+        return math.sin(1e5 * t)  # about 16,000 periods, far above the rounding floor
 
-    r = adaptive_quad(f, 0.0, 1.0, 1e-300)
+    r = adaptive_quad(f, 0.0, 1.0, 1e-12)
     assert not r.converged
     # one rule on [0, 1], then two per bisection until the cap
     assert len(calls) == 15 * (2 * core.QUAD_SUBINTERVAL_CAP - 1)
-    assert abs(r.value - (1.0 - math.cos(1.0))) <= r.abs_err_est
+    assert abs(r.value - (1.0 - math.cos(1e5)) / 1e5) <= r.abs_err_est
+
+
+@pytest.mark.parametrize("quad, exact", [
+    (lambda: adaptive_quad(math.sin, 0.0, 1.0, 1e-300), 1.0 - math.cos(1.0)),
+    (lambda: dilog_integral_oracle(0.5, 1e-16), math.pi**2 / 12 - math.log(2.0) ** 2 / 2),
+], ids=["sin", "oracle"])
+def test_tolerance_below_the_rounding_floor_stops_early(quad, exact, monkeypatch):
+    rules = []
+    gk15 = core._gk15
+    monkeypatch.setattr(core, "_gk15", lambda *args: rules.append(args) or gk15(*args))
+    r = quad()
+    assert not r.converged
+    # halving stops once every estimate is at its 50 EPS resabs floor
+    assert len(rules) < 200
+    assert abs(r.value - exact) <= r.abs_err_est
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-14, 3e-15, 1e-15])
+def test_flag_agrees_with_the_returned_estimate(tol):
+    for x in (0.1, 0.5, 0.9, 0.99):
+        r = dilog_integral_oracle(x, tol)
+        assert r.converged == (r.abs_err_est <= tol), (x, r)
 
 
 def test_nan_estimate_is_not_converged():
