@@ -36,15 +36,21 @@ DEGREE_ENVELOPE = 5.0
 #: about 4e-4 (3e-4 fails, 4e-4 converges).
 MAX_TERMS = 100_000
 
-#: Step bounds accepted by the finite-difference oracle.
-ORACLE_MIN_STEP = 1e-4
-ORACLE_MAX_STEP = 0.1
-
 #: Accuracy contract of the oracle per derivative order: results whose
 #: tableau error estimate exceeds these are flagged as non-converged.
 ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
 
 _ORACLE_LEVELS = 4  # base step plus three halvings
+_ORACLE_STEP = 0.02  # base step in the degree
+
+# Central stencils about degree 0, error O(h^2): order -> (multiple of the
+# step, weight) pairs, the sum of weight * P_nu at those degrees being
+# h^order times the derivative.  Sum |weight| scales the rounding floor.
+_STENCILS = {
+    1: ((1, 0.5), (-1, -0.5)),
+    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
+    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
+}
 
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
 # the coefficient of s^(2k+4)
@@ -199,27 +205,13 @@ def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     return _degree_partial_sums(nu, d1, d2, d3)[order]
 
 
-def _stencil(f, order: int, h: float) -> float:
-    """Central difference of the given order about 0, error O(h^2)."""
-    if order == 1:
-        return (f(h) - f(-h)) / (2.0 * h)
-    if order == 2:
-        return (f(h) - 2.0 * f(0.0) + f(-h)) / (h * h)
-    # order == 3: 4-point antisymmetric stencil
-    return (f(2.0 * h) - 2.0 * f(h) + 2.0 * f(-h) - f(-2.0 * h)) / (2.0 * h**3)
-
-
-# Sum of |stencil weights| over h^order; scales the roundoff floor.
-_STENCIL_WEIGHT_SUM = {1: 1.0, 2: 4.0, 3: 3.0}
-
-
-def nu_derivative_oracle(z: float, order: int, h: float = 0.02) -> EvalResult:
+def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     """Degree-derivative of P_nu(z) at degree 0 by finite differences.
 
     Applies the central stencil of the requested order to `legendre_p`
-    in the degree about 0, then removes the O(h^2), O(h^4), ... error
-    terms by Richardson extrapolation over three step halvings.  Kept
-    free of the closed forms so it can certify them.
+    in the degree about 0, at a fixed step of 0.02 and three halvings of
+    it, then removes the O(h^2), O(h^4), ... error terms by Richardson
+    extrapolation.  Kept free of the closed forms so it can certify them.
 
     Parameters
     ----------
@@ -227,50 +219,53 @@ def nu_derivative_oracle(z: float, order: int, h: float = 0.02) -> EvalResult:
         Argument in (-1, 1].
     order : int
         Derivative order, 1 through 3.
-    h : float
-        Base step, in [1e-4, 0.1].
 
     Returns
     -------
     EvalResult
         abs_err_est combines the extrapolation-tableau disagreement with
         the stencil roundoff floor; converged is False when the estimate
-        exceeds the order's accuracy cap (`ORACLE_ERR_CAP`).
+        exceeds the order's accuracy cap (`ORACLE_ERR_CAP`).  If any P_nu
+        it evaluates did not converge, the extrapolated value is returned
+        with abs_err_est inf and converged False.
     """
     z = _check_argument(z)
-    if type(order) is not int or order not in (1, 2, 3):
-        raise DomainError(f"oracle derivative order must be an int, 1, 2 or 3, got {order!r}")
-    h = float(h)
-    if not (ORACLE_MIN_STEP <= h <= ORACLE_MAX_STEP):
-        raise DomainError(
-            f"oracle step must lie in [{ORACLE_MIN_STEP}, {ORACLE_MAX_STEP}], got {h}"
-        )
+    stencil = _STENCILS.get(order) if type(order) is int else None
+    if stencil is None:
+        raise DomainError(f"oracle derivative order must be an int in {tuple(_STENCILS)}, "
+                          f"got {order!r}")
 
-    # degree -> P_nu(z).  The levels share points: f(0) in the order-2
-    # stencil, and +-2h at one level is +-h at the level before (the steps
-    # halve exactly), so each distinct degree is evaluated once.
-    values: dict[float, float] = {}
-
-    def f(nu: float) -> float:
-        if nu not in values:
-            values[nu] = legendre_p(nu, z, tol=1e-15).value
-        return values[nu]
-
-    m = _ORACLE_LEVELS - 1
-    tableau = [[0.0] * _ORACLE_LEVELS for _ in range(_ORACLE_LEVELS)]
+    # The levels share points: degree 0 in the order-2 stencil, and +-2h at
+    # one level is +-h at the level before (the steps halve exactly), so
+    # each distinct degree is evaluated once.
+    results: dict[float, EvalResult] = {}
+    row: list[float] = []
     for i in range(_ORACLE_LEVELS):
-        tableau[i][0] = _stencil(f, order, h / 2.0**i)
+        h = _ORACLE_STEP / 2.0**i
+        total = 0.0
+        for multiple, weight in stencil:
+            nu = multiple * h
+            r = results.get(nu)
+            if r is None:
+                r = results[nu] = legendre_p(nu, z, tol=1e-15)
+            total += weight * r.value
+        prev, row = row, [total / h**order]
         for j in range(1, i + 1):
-            weight = 4.0**j
-            tableau[i][j] = (weight * tableau[i][j - 1] - tableau[i - 1][j - 1]) / (weight - 1.0)
+            factor = 4.0**j
+            row.append((factor * row[j - 1] - prev[j - 1]) / (factor - 1.0))
 
-    value = tableau[m][m]
-    h_min = h / 2.0**m
-    fmax = max(1.0, *(abs(v) for v in values.values()))
-    noise_floor = 2.0 * _STENCIL_WEIGHT_SUM[order] * EPS * fmax / h_min**order
-    est = max(
-        abs(tableau[m][m] - tableau[m][m - 1]),
-        abs(tableau[m][m] - tableau[m - 1][m - 1]),
-        noise_floor,
-    )
+    value = row[-1]
+    fmax = 1.0
+    converged = True
+    for r in results.values():
+        if abs(r.value) > fmax:
+            fmax = abs(r.value)
+        converged = converged and r.converged
+    if not converged:
+        return EvalResult(value, math.inf, False)
+    weight_sum = 0.0
+    for _, weight in stencil:
+        weight_sum += abs(weight)
+    noise_floor = 2.0 * weight_sum * EPS * fmax / h**order
+    est = max(abs(value - row[-2]), abs(value - prev[-1]), noise_floor)
     return EvalResult(value, est, est <= ORACLE_ERR_CAP[order])

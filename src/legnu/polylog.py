@@ -22,9 +22,6 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 #: Apery's constant, the trilogarithm at 1 (zeta(3) = 1.2020569031595942854...).
 ZETA3 = 1.2020569031595942854
 
-#: Relative accuracy contract of dilog/trilog on [0, 1].
-REL_ACCURACY = 1e-13
-
 #: Li2(x) = t - t^2/4 + sum_k B_(2k+2) t^(2k+3) / (2k+3)! with t = -ln(1-x)
 #: ('t Hooft & Veltman 1979; DLMF 25.12): the odd Bernoulli numbers past B_1
 #: vanish, so entry k is B_(2k+2) / (2k+3)!, the coefficient of t^(2k+3).

@@ -10,8 +10,8 @@ grid:
 * ``ode_deriv3``             -- same for the order-3 closed form;
 * ``euler_reflection``       -- Li2(x) + Li2(1-x) = pi^2/6 - ln(x) ln(1-x);
 * ``dilog_antiderivative``   -- integral of Li2 matches its antiderivative;
-* ``li2_over_1mz_integral``  -- integral of Li2(t)/(1-t) matches its
-                                antiderivative (reduced and log forms).
+* ``li2_over_1mz_integral``  -- integral of Li2(t)/(1-t) matches d3(1-2t)/6
+                                (reduced form) and its log-form antiderivative.
 
 z-derivatives in the ODE checks use 5-point central stencils, so those
 residuals are finite-difference noise, not identity violations; the
@@ -328,13 +328,15 @@ def _li2_antideriv(t: float) -> float:
 
 
 def _li2_ratio_antideriv(t: float, form: str) -> float:
-    """Antiderivative of Li2(t)/(1-t), reduced or log form."""
+    """Antiderivative of Li2(t)/(1-t): d3(1-2t)/6 (reduced) or the log form."""
+    if form == "reduced":
+        # the paper's first integral d3(z) = 6 times the integral over
+        # [0, (1-z)/2], so the library's d3 is what gets checked
+        return d3p_dnu3_0(1.0 - 2.0 * t) / 6.0
+    # log form: the closed antiderivative in Li3(1-t), Li2 and logarithms,
+    # kept as an independent spot-check target
     y = 1.0 - t
     ly = math.log1p(-t)
-    if form == "reduced":
-        return 2.0 * trilog(y).value - ly * dilog(y).value - PI2_OVER_6 * ly
-    # log form: equivalent modulo the reflection identity, kept as an
-    # independent spot-check target
     return (
         2.0 * trilog(y).value
         - ly * dilog(t).value

@@ -40,7 +40,7 @@ def _run_cli(argv: list[str]) -> tuple[int, str]:
 def test_criterion_01_order2_closed_form_vs_oracle():
     start = time.perf_counter()
     worst = max(
-        abs(d2p_dnu2_0(float(z)) - nu_derivative_oracle(float(z), 2, 0.02).value)
+        abs(d2p_dnu2_0(float(z)) - nu_derivative_oracle(float(z), 2).value)
         for z in np.linspace(-0.9, 1.0, 20)
     )
     elapsed = time.perf_counter() - start
@@ -52,7 +52,7 @@ def test_criterion_01_order2_closed_form_vs_oracle():
 def test_criterion_02_order3_closed_form_vs_oracle():
     start = time.perf_counter()
     worst = max(
-        abs(d3p_dnu3_0(float(z)) - nu_derivative_oracle(float(z), 3, 0.02).value)
+        abs(d3p_dnu3_0(float(z)) - nu_derivative_oracle(float(z), 3).value)
         for z in np.linspace(-0.9, 1.0, 20)
     )
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface via its main() entry."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -266,6 +268,29 @@ class TestTruncationStudy:
         code, _, err = run_cli(capsys, "truncation-study", "--nu-start", "-0.6",
                                "--nu-end", "0.1")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("tabulate", "--count", "7", "--what", "p,d1,d3", "--nu", "0.3",
+     "--z-start", "-0.5"),
+    ("truncation-study", "--nu-count", "3", "--count", "5"),
+], ids=["tabulate", "truncation-study"])
+def test_pretty_table_layout(capsys, argv):
+    # the csv cells laid out by hand: each column left-justified to its widest
+    # cell, header included, two spaces apart, trailing blanks stripped
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    cells = list(csv.reader(io.StringIO(out_csv)))
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
+    expected = "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cells
+    )
+    code1, out1, _ = run_cli(capsys, *argv, "--format", "pretty")
+    code2, out2, _ = run_cli(capsys, *argv, "--format", "pretty")
+    assert code1 == code2 == 0
+    assert out1 == expected
+    assert out1 == out2  # byte-identical across runs
+    assert all(line == line.rstrip() for line in out1.splitlines())
 
 
 def test_help_exits_zero(capsys):

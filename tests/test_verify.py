@@ -189,6 +189,20 @@ class TestIntegralIdentities:
         r = check_li2_over_1mz_integral(GridSpec(0.05, 0.95, 11))
         assert r.passed and r.samples == 13  # 10 intervals + 3 log-form spots
 
+    @pytest.mark.parametrize("first_integral_branch", [True, False])
+    def test_reduced_form_checks_both_branches_of_d3(self, monkeypatch,
+                                                     first_integral_branch):
+        # the reduced antiderivative is d3(1 - 2t)/6: an error of 1e-6 z in
+        # either branch of d3p_dnu3_0 (the switch is at z = 1/2, t = 1/4)
+        # moves the default grid's interval residuals well past 1e-9
+        exact = verify.d3p_dnu3_0
+
+        def skewed(z):
+            return exact(z) + (1e-6 * z if (z > 0.5) == first_integral_branch else 0.0)
+
+        monkeypatch.setattr(verify, "d3p_dnu3_0", skewed)
+        assert not check_li2_over_1mz_integral(GridSpec(0.05, 0.95, 11)).passed
+
     def test_refinement_does_not_blow_up(self):
         # residuals are method noise; refining the grid must not reveal an
         # identity violation (allow a one-ulp-scale wiggle at the floor)
