@@ -163,7 +163,9 @@ def zeta3() -> float:
 def dilog_integral_oracle(x: float, tol: float) -> EvalResult:
     """Dilogarithm from its defining integral of -ln(1-t)/t over [0, x].
 
-    Evaluated by adaptive quadrature to absolute tolerance ``tol``.  This
+    Evaluated by adaptive quadrature to absolute tolerance ``tol``, in
+    s = -ln(1-t): the integral of s/(e^s - 1) over [0, -ln(1-x)], which is
+    smooth where the integrand in t has a log singularity at t = 1.  This
     path shares no code with the series evaluator in `dilog` and exists to
     cross-check it.
 
@@ -180,9 +182,9 @@ def dilog_integral_oracle(x: float, tol: float) -> EvalResult:
     if x == 0.0:
         return EvalResult(0.0, 0.0, True)
 
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return 1.0  # limit of -ln(1-t)/t as t -> 0
-        return -math.log1p(-t) / t
+    def integrand(s: float) -> float:
+        if s == 0.0:
+            return 1.0  # limit of s/(e^s - 1) as s -> 0
+        return s / math.expm1(s)
 
-    return adaptive_quad(integrand, 0.0, x, tol)
+    return adaptive_quad(integrand, 0.0, -math.log1p(-x), tol)

@@ -4,21 +4,25 @@ Six independent checks, each producing an `IdentityReport` over a sample
 grid:
 
 * ``ode_base``               -- P_nu satisfies the Legendre equation;
-* ``ode_deriv2``             -- the order-2 closed form satisfies its
-                                twice-degree-differentiated equation, and
-                                its first integral holds analytically;
+* ``ode_deriv2``             -- the order-2 closed form satisfies the
+                                equation differentiated twice in nu;
 * ``ode_deriv3``             -- same for the order-3 closed form;
 * ``euler_reflection``       -- Li2(x) + Li2(1-x) = pi^2/6 - ln(x) ln(1-x);
 * ``dilog_antiderivative``   -- integral of Li2 matches its antiderivative;
 * ``li2_over_1mz_integral``  -- integral of Li2(t)/(1-t) matches d3(1-2t)/6
-                                (reduced form) and its log-form antiderivative.
+                                (reduced form, the order-3 first integral)
+                                and its log-form antiderivative.
 
-z-derivatives in the ODE checks use 5-point central stencils, so those
-residuals are finite-difference noise, not identity violations; the
-first-integral checks are stencil-free and tight.  Sub-checks with their
-own bound (first integrals at 1e-10, log-form spot intervals at 1e-8) are
-folded into the parent report rescaled into report-tolerance units, so
-``passed == (max_residual <= tolerance)`` always holds.
+The three ODE checks share one path.  Differentiating the Legendre
+equation L[P_nu] + nu (nu+1) P_nu = 0, L = (1-z^2) D^2 - 2z D, k times in
+nu at nu = 0 gives L[d_k] + k d_(k-1) + k (k-1) d_(k-2) = 0 for the
+closed forms d_k, with d_0 = 1; the source terms come from that
+recurrence over the table of closed forms.  z-derivatives use 5-point
+central stencils, so ODE residuals are finite-difference noise, not
+identity violations.  The log-form spot intervals have their own bound,
+1e-8, and are folded into their parent report rescaled into
+report-tolerance units, so ``passed == (max_residual <= tolerance)``
+always holds.
 
 All checks are deterministic and side-effect-free; a run repeated on the
 same grid reproduces residual statistics bit for bit.
@@ -48,7 +52,6 @@ __all__ = [
     "check_euler_reflection",
     "check_dilog_antiderivative",
     "check_li2_over_1mz_integral",
-    "first_integral_residuals",
     "dilog_antiderivative_residual",
     "li2_ratio_antiderivative_residual",
     "run_all",
@@ -74,8 +77,7 @@ _SUITE = {
 IDENTITY_IDS = tuple(_SUITE)
 DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
 
-# Fixed bounds of the folded sub-checks.
-FIRST_INTEGRAL_BOUND = 1e-10
+# Fixed bound of the folded log-form spot intervals.
 LOG_FORM_SPOT_BOUND = 1e-8
 
 # ODE stencil steps; the order-3 closed form needs the finer step to keep
@@ -128,9 +130,6 @@ class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
         return pts
 
 
-_FIRST_INTEGRAL_GRID = GridSpec(-0.95, 0.95, 50)
-
-
 class IdentityReport(namedtuple("IdentityReport", (
         "identity_id", "samples", "max_residual", "mean_residual", "argmax_location",
         "tolerance", "passed"))):
@@ -170,58 +169,46 @@ def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequen
 
 
 # ---------------------------------------------------------------------------
-# stencils and analytic derivatives of the closed forms
+# the Legendre-equation residuals
 
-def _legendre_operator_5pt(values: Sequence[float], z: float, h: float) -> float:
-    """(1-z^2) f'' - 2z f' at z from f at z-2h .. z+2h, by 5-point stencils."""
-    fm2, fm1, f0, fp1, fp2 = values
-    d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    return (1.0 - z * z) * d2 - 2.0 * z * d1
-
-
-def _d2p_closed_dz(z: float) -> float:
-    """Analytic z-derivative of the order-2 closed form: -2 ln((z+1)/2) / (1-z)."""
-    return -2.0 * dp_dnu0(z) / (1.0 - z)
+#: d_k, the k-th degree-derivative of P_nu at nu = 0, for k = 0 .. 3.  Each
+#: entry looks its closed form up when called, like `_SUITE`.
+_NU_DERIVATIVES = (
+    lambda z: 1.0,
+    lambda z: dp_dnu0(z),
+    lambda z: d2p_dnu2_0(z),
+    lambda z: d3p_dnu3_0(z),
+)
 
 
-def _d3p_closed_dz(z: float) -> float:
-    """Analytic z-derivative of the order-3 closed form."""
-    v = 0.5 * (z + 1.0)
-    return (6.0 * dilog(v).value + 6.0 * math.log(v) * math.log1p(-v) - math.pi**2) / (2.0 * v)
+def _ode_source(order: int, z: float) -> float:
+    """The source term k d_(k-1) + k (k-1) d_(k-2) at z; L[d_k] plus it is 0."""
+    return (order * _NU_DERIVATIVES[order - 1](z)
+            + order * (order - 1) * _NU_DERIVATIVES[order - 2](z))
 
 
-def first_integral_residuals(order: int, zs: Iterable[float]) -> np.ndarray:
-    """Residuals of the once-integrated equations, evaluated analytically.
-
-    order 2:  (1-z^2) d/dz [order-2 form]  =  -2 (z+1) ln((z+1)/2)
-    order 3:  (1-z^2) d/dz [order-3 form]  =   6 (z-1) Li2((1-z)/2)
-
-    Both integration constants vanish, pinned by the value 1 at z = 1.
-    No finite differences are involved, so residuals sit at rounding level.
-    """
-    if type(order) is not int or order not in (2, 3):
-        raise DomainError(f"first-integral order must be an int, 2 or 3, got {order!r}")
-    import numpy as np
-
-    out = []
-    for z in zs:
-        z = float(z)
-        w = 1.0 - z * z
-        if order == 2:
-            out.append(abs(w * _d2p_closed_dz(z) - (-2.0 * (z + 1.0) * dp_dnu0(z))))
-        else:
-            out.append(abs(w * _d3p_closed_dz(z) - 6.0 * (z - 1.0) * dilog(0.5 * (1.0 - z)).value))
-    return np.asarray(out)
-
-
-def _check_ode_grid(grid: GridSpec) -> np.ndarray:
+def _check_ode(identity_id: str, values, h: float, grid: GridSpec,
+               tolerance: float) -> IdentityReport:
+    """|(1-z^2) f'' - 2z f' + source| over the grid, the derivatives by
+    5-point stencils.  ``values(z)`` returns f at z-2h .. z+2h and the
+    source at z, or None to exclude z from the report."""
     if grid.start < -_ODE_GRID_LIMIT or grid.end > _ODE_GRID_LIMIT:
         raise DomainError(
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
             f"got [{grid.start}, {grid.end}]"
         )
-    return grid.points()
+    locations, residuals = [], []
+    for z in grid.points():
+        z = float(z)
+        got = values(z)
+        if got is None:
+            continue
+        (fm2, fm1, f0, fp1, fp2), source = got
+        d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+        d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+        locations.append(z)
+        residuals.append(abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source))
+    return _make_report(identity_id, locations, residuals, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -234,69 +221,36 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
     the report's sample count), never silently included.
     """
     tolerance = _tolerance("ode_base", tolerance)
-    pts = _check_ode_grid(grid)
-    h = _ODE_STEP
-    locations, residuals = [], []
-    for z in pts:
-        z = float(z)
-        evals = [legendre_p(nu, z + k * h, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
+
+    def values(z):
+        evals = [legendre_p(nu, z + k * _ODE_STEP, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
         if not all(e.converged for e in evals):
-            continue
-        vals = [e.value for e in evals]
-        resid = _legendre_operator_5pt(vals, z, h) + nu * (nu + 1.0) * vals[2]
-        locations.append(z)
-        residuals.append(abs(resid))
-    return _make_report("ode_base", locations, residuals, tolerance)
+            return None
+        return [e.value for e in evals], nu * (nu + 1.0) * evals[2].value
+
+    return _check_ode("ode_base", values, _ODE_STEP, grid, tolerance)
 
 
-def _check_ode_closed_form(identity_id: str, f, rhs, step: float, fi_order: int,
-                           grid: GridSpec, tolerance: float) -> IdentityReport:
-    pts = _check_ode_grid(grid)
-    locations, residuals = [], []
-    for z in pts:
-        z = float(z)
-        vals = [f(z + k * step) for k in (-2, -1, 0, 1, 2)]
-        resid = _legendre_operator_5pt(vals, z, step) - rhs(z)
-        locations.append(z)
-        residuals.append(abs(resid))
-    # fold the stencil-free first-integral sub-check, rescaled so that it
-    # fails the report exactly when it exceeds its own fixed bound
-    scale = tolerance / FIRST_INTEGRAL_BOUND
-    fi_points = _FIRST_INTEGRAL_GRID.points()
-    for z, r in zip(fi_points, first_integral_residuals(fi_order, fi_points)):
-        locations.append(float(z))
-        residuals.append(float(r) * scale)
-    return _make_report(identity_id, locations, residuals, tolerance)
+def _check_ode_closed_form(order: int, step: float, grid: GridSpec,
+                           tolerance: float) -> IdentityReport:
+    f = _NU_DERIVATIVES[order]
+    return _check_ode(
+        f"ode_deriv{order}",
+        lambda z: ([f(z + k * step) for k in (-2, -1, 0, 1, 2)], _ode_source(order, z)),
+        step, grid, tolerance,
+    )
 
 
 def check_ode_deriv2(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the twice-degree-differentiated equation on the order-2
-    closed form, with its first integral checked analytically at 1e-10."""
-    tolerance = _tolerance("ode_deriv2", tolerance)
-    return _check_ode_closed_form(
-        "ode_deriv2",
-        d2p_dnu2_0,
-        lambda z: -2.0 - 2.0 * dp_dnu0(z),
-        _ODE_STEP,
-        2,
-        grid,
-        tolerance,
-    )
+    closed form: L[d2] + 2 d1 + 2 = 0."""
+    return _check_ode_closed_form(2, _ODE_STEP, grid, _tolerance("ode_deriv2", tolerance))
 
 
 def check_ode_deriv3(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the thrice-degree-differentiated equation on the order-3
-    closed form, with its first integral checked analytically at 1e-10."""
-    tolerance = _tolerance("ode_deriv3", tolerance)
-    return _check_ode_closed_form(
-        "ode_deriv3",
-        d3p_dnu3_0,
-        lambda z: -6.0 * dp_dnu0(z) + 6.0 * dilog(0.5 * (1.0 - z)).value,
-        _ODE_STEP_DERIV3,
-        3,
-        grid,
-        tolerance,
-    )
+    closed form: L[d3] + 3 d2 + 6 d1 = 0."""
+    return _check_ode_closed_form(3, _ODE_STEP_DERIV3, grid, _tolerance("ode_deriv3", tolerance))
 
 
 def check_euler_reflection(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:

