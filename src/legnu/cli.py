@@ -15,9 +15,8 @@ import csv
 import json
 import sys
 
-from .core import DomainError, EvalResult
-from .legendre import (_degree_partial_sums, d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p,
-                       maclaurin_p)
+from .core import DomainError
+from .legendre import _NU_DERIVATIVES, _degree_partial_sums, _maclaurin, legendre_p
 from .verify import GridSpec, report_lines, run_all
 
 EXIT_OK = 0
@@ -26,20 +25,22 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
 
-def _eval_p(nu: float, z: float, order: int) -> tuple[float, EvalResult]:
+def _eval_p(nu: float, z: float, row: dict, order: int) -> tuple[float, bool]:
     r = legendre_p(nu, z)
-    return r.value, r
+    return r.value, r.converged
 
 
-#: target -> f(nu, z, order) giving (value, EvalResult or None).  Each entry
-#: looks its evaluator up when called, never binding the function object,
-#: so wrappers installed on the module globals are seen.
+#: target -> f(nu, z, row, order) giving (value, converged), row being the
+#: record so far: targets run in this order, so maclaurin reuses the row's d
+#: columns.  Entries look their evaluators up when called, never binding the
+#: function objects, so wrappers installed on the module globals are seen.
 _EVALUATORS = {
     "p": _eval_p,
-    "d1": lambda nu, z, order: (dp_dnu0(z), None),
-    "d2": lambda nu, z, order: (d2p_dnu2_0(z), None),
-    "d3": lambda nu, z, order: (d3p_dnu3_0(z), None),
-    "maclaurin": lambda nu, z, order: (maclaurin_p(nu, z, order), None),
+    "d1": lambda nu, z, row, order: (_NU_DERIVATIVES[1](z), True),
+    "d2": lambda nu, z, row, order: (_NU_DERIVATIVES[2](z), True),
+    "d3": lambda nu, z, row, order: (_NU_DERIVATIVES[3](z), True),
+    "maclaurin": lambda nu, z, row, order: (_maclaurin(
+        nu, z, order, (row.get("d1"), row.get("d2"), row.get("d3"))), True),
 }
 
 TARGETS = tuple(_EVALUATORS)
@@ -96,6 +97,8 @@ def _parse_targets(raw: list[str] | None) -> list[str]:
     names = []
     for item in raw or ["p"]:
         names.extend(s for s in item.split(",") if s)
+    if not names:
+        raise DomainError(f"no target given; expected one of {', '.join(TARGETS)}")
     for name in names:
         if name not in TARGETS:
             raise DomainError(f"unknown target {name!r}; expected one of {', '.join(TARGETS)}")
@@ -103,15 +106,14 @@ def _parse_targets(raw: list[str] | None) -> list[str]:
 
 
 def _row_values(z: float, targets: list[str], nu: float, order: int) -> dict:
-    """The tabulate record of one grid point; its status reports whether
-    every value in the row converged."""
-    values: dict = {}
-    ok = True
+    """The tabulate record of one grid point, each d_k it reads evaluated
+    once; its status reports whether every value in the row converged."""
+    row = {"z": z, "status": "ok"}
     for t in targets:
-        value, result = _EVALUATORS[t](nu, z, order)
-        values[t] = float(value)
-        ok = ok and (result is None or result.converged)
-    return {"z": z, "status": "ok" if ok else "nonconverged", **values}
+        row[t], converged = _EVALUATORS[t](nu, z, row, order)
+        if not converged:
+            row["status"] = "nonconverged"
+    return row
 
 
 def _exit_code(records: list[dict]) -> int:
@@ -121,20 +123,19 @@ def _exit_code(records: list[dict]) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     what = args.what
-    value, result = _EVALUATORS[what](args.nu, args.z, args.order)
-    if result is not None and not result.converged:
-        print(f"error: series did not converge at nu={args.nu!r} z={args.z!r} "
-              f"(error estimate {result.abs_err_est!r})", file=sys.stderr)
+    row = _row_values(args.z, [what], args.nu, args.order)
+    if row["status"] != "ok":
+        print(f"error: series did not converge at nu={args.nu!r} z={args.z!r}", file=sys.stderr)
         return EXIT_NONCONVERGED
 
     order = args.order if what == "maclaurin" else None
-    record = {"what": what, "nu": args.nu, "z": args.z, "order": order, "value": value}
+    record = {"what": what, "nu": args.nu, "z": args.z, "order": order, "value": row[what]}
     if args.format == "csv":
         _print_table("csv", [record])
     elif args.format == "json":
         print(json.dumps(record, indent=2))
     else:
-        print(_fmt(value))
+        print(_fmt(row[what]))
     return EXIT_OK
 
 
@@ -188,7 +189,7 @@ def _cmd_truncation_study(args: argparse.Namespace) -> int:
     nu_grid = GridSpec(args.nu_start, args.nu_end, args.nu_count)
     z_grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
     zs = [float(z) for z in z_grid.points()]
-    derivs = [(dp_dnu0(z), d2p_dnu2_0(z), d3p_dnu3_0(z)) for z in zs]
+    derivs = [[f(z) for f in _NU_DERIVATIVES[1:]] for z in zs]
 
     records = []
     for nu in nu_grid.points():

@@ -14,7 +14,7 @@ from typing import Callable
 
 __all__ = ["DomainError", "EvalResult", "adaptive_quad"]
 
-#: Unit roundoff of binary64, used as the generic series stopping threshold.
+#: Machine epsilon of binary64, 2^-52; it scales error bounds and rounding floors.
 EPS = math.ulp(1.0)
 
 #: Hard cap on quadrature subintervals.

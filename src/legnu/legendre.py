@@ -173,6 +173,17 @@ def d3p_dnu3_0(z: float) -> float:
     ) + 0.0
 
 
+#: d_k, the k-th degree-derivative of P_nu at nu = 0, for k = 0 .. 3.  Each
+#: entry looks its closed form up in this module's globals when called, never
+#: binding the function object, so wrappers installed there are seen.
+_NU_DERIVATIVES = (
+    lambda z: 1.0,
+    lambda z: dp_dnu0(z),
+    lambda z: d2p_dnu2_0(z),
+    lambda z: d3p_dnu3_0(z),
+)
+
+
 def _degree_partial_sums(nu: float, d1: float, d2: float,
                          d3: float) -> tuple[float, float, float, float]:
     """Partial sums of the degree expansion about 0 for orders 0 through 3,
@@ -194,15 +205,19 @@ def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     order : int
         Truncation order, 0 through 3.
     """
+    return _maclaurin(nu, z, order, (None, None, None))
+
+
+def _maclaurin(nu: float, z: float, order: int, known: tuple) -> float:
+    """`maclaurin_p` given ``known``: d_1 .. d_3 at z, None where not yet evaluated."""
     nu = _check_degree(nu)
     z = _check_argument(z)
     if type(order) is not int or not 0 <= order <= 3:
         raise DomainError(f"truncation order must be an int in 0..3, got {order!r}")
-    # coefficients above the order are not evaluated; 0.0 stands in for them
-    d1 = dp_dnu0(z) if order >= 1 else 0.0
-    d2 = d2p_dnu2_0(z) if order >= 2 else 0.0
-    d3 = d3p_dnu3_0(z) if order >= 3 else 0.0
-    return _degree_partial_sums(nu, d1, d2, d3)[order]
+    d = [0.0, 0.0, 0.0]  # stands in for the coefficients above the order
+    for k in range(order):
+        d[k] = _NU_DERIVATIVES[k + 1](z) if known[k] is None else known[k]
+    return _degree_partial_sums(nu, *d)[order]
 
 
 def nu_derivative_oracle(z: float, order: int) -> EvalResult:
@@ -255,17 +270,10 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
             row.append((factor * row[j - 1] - prev[j - 1]) / (factor - 1.0))
 
     value = row[-1]
-    fmax = 1.0
-    converged = True
-    for r in results.values():
-        if abs(r.value) > fmax:
-            fmax = abs(r.value)
-        converged = converged and r.converged
-    if not converged:
+    if not all(r.converged for r in results.values()):
         return EvalResult(value, math.inf, False)
-    weight_sum = 0.0
-    for _, weight in stencil:
-        weight_sum += abs(weight)
+    fmax = max(1.0, *(abs(r.value) for r in results.values()))
+    weight_sum = sum(abs(weight) for _, weight in stencil)
     noise_floor = 2.0 * weight_sum * EPS * fmax / h**order
     est = max(abs(value - row[-2]), abs(value - prev[-1]), noise_floor)
     return EvalResult(value, est, est <= ORACLE_ERR_CAP[order])

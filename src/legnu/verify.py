@@ -17,9 +17,9 @@ The three ODE checks share one path.  Differentiating the Legendre
 equation L[P_nu] + nu (nu+1) P_nu = 0, L = (1-z^2) D^2 - 2z D, k times in
 nu at nu = 0 gives L[d_k] + k d_(k-1) + k (k-1) d_(k-2) = 0 for the
 closed forms d_k, with d_0 = 1; the source terms come from that
-recurrence over the table of closed forms.  z-derivatives use 5-point
-central stencils, so ODE residuals are finite-difference noise, not
-identity violations.  The log-form spot intervals have their own bound,
+recurrence over `legendre`'s table of closed forms.  z-derivatives use
+5-point central stencils, so ODE residuals are finite-difference noise,
+not identity violations.  The log-form spot intervals have their own bound,
 1e-8, and are folded into their parent report rescaled into
 report-tolerance units, so ``passed == (max_residual <= tolerance)``
 always holds.
@@ -35,7 +35,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .core import DomainError, adaptive_quad
-from .legendre import d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p
+from .legendre import _NU_DERIVATIVES, d3p_dnu3_0, legendre_p
 from .polylog import PI2_OVER_6, dilog, trilog
 
 if TYPE_CHECKING:
@@ -170,16 +170,6 @@ def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequen
 
 # ---------------------------------------------------------------------------
 # the Legendre-equation residuals
-
-#: d_k, the k-th degree-derivative of P_nu at nu = 0, for k = 0 .. 3.  Each
-#: entry looks its closed form up when called, like `_SUITE`.
-_NU_DERIVATIVES = (
-    lambda z: 1.0,
-    lambda z: dp_dnu0(z),
-    lambda z: d2p_dnu2_0(z),
-    lambda z: d3p_dnu3_0(z),
-)
-
 
 def _ode_source(order: int, z: float) -> float:
     """The source term k d_(k-1) + k (k-1) d_(k-2) at z; L[d_k] plus it is 0."""

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from legnu import legendre
 from legnu.cli import TARGETS, main
 from legnu.legendre import legendre_p, maclaurin_p
 from legnu.verify import GridSpec, IdentityReport
@@ -124,6 +125,13 @@ class TestTabulate:
         assert code == 2
         assert "unknown target" in err
 
+    @pytest.mark.parametrize("what", [",", ""])
+    def test_empty_target_list_exits_2(self, capsys, what):
+        code, out, err = run_cli(capsys, "tabulate", "--what", what, "--count", "3")
+        assert code == 2
+        assert out == ""
+        assert "no target given" in err
+
     def test_z_start_shift_warns(self, capsys):
         code, out, err = run_cli(capsys, "tabulate", "--z-start", "-1", "--z-end", "0",
                                  "--count", "2", "--what", "d2")
@@ -157,6 +165,72 @@ class TestTabulate:
         code2, out2, _ = run_cli(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestRowPath:
+    @pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
+    @pytest.mark.parametrize("what", ["maclaurin", "d1,d2,d3,maclaurin"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_maclaurin_column_matches_maclaurin_p(self, capsys, order, what, spacing):
+        # the grid crosses z = 1/2, where d3 switches branch
+        nu = -0.37
+        code, out, _ = run_cli(capsys, "tabulate", "--what", what, "--nu", str(nu),
+                               "--order", str(order), "--z-start", "-0.999",
+                               "--z-end", "1", "--count", "41", "--spacing", spacing)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 41
+        assert min(float(r["z"]) for r in rows) < 0.5 < max(float(r["z"]) for r in rows)
+        for r in rows:
+            assert float(r["maclaurin"]) == maclaurin_p(nu, float(r["z"]), order)
+
+    @pytest.mark.parametrize("what, expected", [
+        ("p,d1,d2,d3,maclaurin", (1, 1, 1)),
+        ("maclaurin", (1, 1, 1)),
+        ("d3", (0, 0, 1)),
+    ])
+    def test_each_closed_form_is_called_once_per_row(self, capsys, monkeypatch, what,
+                                                      expected):
+        # wrap every binding of each closed form, as the bench tracer does, so
+        # that a call through any module is counted
+        calls = dict.fromkeys(("dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0"), 0)
+        modules = [m for n, m in sys.modules.items() if n == "legnu" or n.startswith("legnu.")]
+        for name in calls:
+            original = getattr(legendre, name)
+
+            def counting(z, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(z)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting)
+        code, _, _ = run_cli(capsys, "tabulate", "--what", what, "--nu", "0.3",
+                             "--count", "23")
+        assert code == 0
+        assert tuple(calls.values()) == tuple(23 * n for n in expected)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("tabulate", "--what", "d1", "--nu", "7"), 0, None),
+        (("tabulate", "--what", "maclaurin", "--nu", "7"), 2, "degree must satisfy"),
+        (("tabulate", "--what", "maclaurin", "--order", "0", "--z-end", "1.5"), 2,
+         "argument must lie"),
+        (("eval", "--what", "d3", "--nu", "7", "--z", "0.5"), 0, None),
+        (("eval", "--what", "maclaurin", "--nu", "0.2", "--z", "2"), 2, "argument must lie"),
+        # both out of domain: the first target's own check fails first
+        (("tabulate", "--what", "p,d1", "--nu", "7", "--z-start", "1.2", "--z-end", "1.5"),
+         2, "degree must satisfy"),
+        (("tabulate", "--what", "d1,maclaurin", "--nu", "7", "--z-start", "1.2",
+          "--z-end", "1.5"), 2, "argument must lie"),
+    ])
+    def test_domain_checks_per_target(self, capsys, argv, code, message):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if message is None:
+            assert err == ""
+        else:
+            assert out == ""
+            assert err.startswith(f"error: {message}")
 
 
 class TestVerify:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from legnu import verify
+from legnu import legendre, verify
 from legnu.core import DomainError
 from legnu.polylog import PI2_OVER_6, dilog
 from legnu.verify import (
@@ -111,9 +111,10 @@ class TestOdeChecks:
         ("d2p_dnu2_0", check_ode_deriv2), ("d3p_dnu3_0", check_ode_deriv3)])
     def test_skewed_closed_form_fails(self, monkeypatch, name, check):
         # L[z^2] = 2 - 6 z^2, so a 1e-5 z^2 error moves the residual by up to
-        # 2e-5, far above the 1e-6 tolerance
-        exact = getattr(verify, name)
-        monkeypatch.setattr(verify, name, lambda z: exact(z) + 1e-5 * z * z)
+        # 2e-5, far above the 1e-6 tolerance; the checks read the closed forms
+        # through legendre's table of d_k
+        exact = getattr(legendre, name)
+        monkeypatch.setattr(legendre, name, lambda z: exact(z) + 1e-5 * z * z)
         r = check(GridSpec(-0.9, 0.9, 51))
         assert not r.passed
         assert r.max_residual > 1e-5
@@ -278,15 +279,15 @@ class TestRunAll:
         assert [r.identity_id for r in reports] == list(IDENTITY_IDS)
 
     def test_closed_forms_are_looked_up_when_run(self, monkeypatch):
-        # the ODE checks reach d1-d3 through the module globals at call time,
+        # the ODE checks reach d1-d3 through legendre's globals at call time,
         # so wrappers installed there (as the bench tracer does) see the calls
         calls = {}
         for name in ("dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0"):
-            def counting(z, _name=name, _original=getattr(verify, name)):
+            def counting(z, _name=name, _original=getattr(legendre, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(z)
 
-            monkeypatch.setattr(verify, name, counting)
+            monkeypatch.setattr(legendre, name, counting)
         assert all(r.passed for r in run_all())
         assert set(calls) == {"dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0"}
         assert all(n > 0 for n in calls.values())
