@@ -142,7 +142,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.what)
     grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
-    records = [_row_values(float(z), targets, args.nu, args.order) for z in grid.points()]
+    records = [_row_values(z, targets, args.nu, args.order) for z in grid.points()]
     _print_table(args.format, records)
     return _exit_code(records)
 
@@ -188,12 +188,11 @@ def _cmd_truncation_study(args: argparse.Namespace) -> int:
         )
     nu_grid = GridSpec(args.nu_start, args.nu_end, args.nu_count)
     z_grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
-    zs = [float(z) for z in z_grid.points()]
+    zs = z_grid.points()
     derivs = [[f(z) for f in _NU_DERIVATIVES[1:]] for z in zs]
 
     records = []
     for nu in nu_grid.points():
-        nu = float(nu)
         ref = [legendre_p(nu, z) for z in zs]
         status = "ok" if all(r.converged for r in ref) else "nonconverged"
         sums = [_degree_partial_sums(nu, *d) for d in derivs]

@@ -32,14 +32,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping
 
 from .core import DomainError, adaptive_quad
 from .legendre import _NU_DERIVATIVES, d3p_dnu3_0, legendre_p
 from .polylog import PI2_OVER_6, dilog, trilog
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "GridSpec",
@@ -105,6 +103,9 @@ class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
     def __new__(cls, start: float, end: float, count: int, spacing: str = "uniform"):
         if not (start < end):
             raise DomainError(f"grid requires start < end, got [{start}, {end}]")
+        if not (end - start < math.inf):
+            raise DomainError(
+                f"grid requires start < end a finite distance apart, got [{start}, {end}]")
         if type(count) is not int or count < 2:
             raise DomainError(f"grid requires an int count >= 2, got {count!r}")
         if spacing not in ("uniform", "chebyshev"):
@@ -115,19 +116,20 @@ class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def points(self) -> np.ndarray:
-        # numpy is imported at the first grid, not with the module: it costs
-        # most of `import legnu`, and one-value evaluation never needs it
+    def points(self) -> list[float]:
+        # the package's one use of numpy, imported at the first grid, not
+        # with the module: it costs most of `import legnu`, and one-value
+        # evaluation never needs it
         import numpy as np
 
         if self.spacing == "uniform":
-            return np.linspace(self.start, self.end, self.count)
+            return np.linspace(self.start, self.end, self.count).tolist()
         mid = 0.5 * (self.start + self.end)
         half = 0.5 * (self.end - self.start)
         pts = mid - half * np.cos(np.pi * np.arange(self.count) / (self.count - 1))
         pts[0] = self.start
         pts[-1] = self.end
-        return pts
+        return pts.tolist()
 
 
 class IdentityReport(namedtuple("IdentityReport", (
@@ -149,23 +151,24 @@ def _tolerance(identity_id: str, value: float | None) -> float:
     return value
 
 
-def _make_report(identity_id: str, locations: Sequence[float], residuals: Sequence[float],
-                 tolerance: float) -> IdentityReport:
-    if len(residuals) < 2:
-        raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(residuals)}")
-    import numpy as np
-
-    res = np.asarray(residuals, dtype=float)
-    imax = int(np.argmax(res))
-    return IdentityReport(
-        identity_id=identity_id,
-        samples=len(res),
-        max_residual=float(res[imax]),
-        mean_residual=float(np.mean(res)),
-        argmax_location=float(locations[imax]),
-        tolerance=float(tolerance),
-        passed=bool(res[imax] <= tolerance),
-    )
+def _report(identity_id: str, samples: Iterable[tuple[float, float | None]],
+            tolerance: float) -> IdentityReport:
+    """Statistics of (location, residual) samples, a None residual left out.
+    The worst residual is the first NaN, else the first maximum, so a NaN
+    fails the identity; the mean is ``math.fsum`` over the count."""
+    kept = [(x, r) for x, r in samples if r is not None]
+    if len(kept) < 2:
+        raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(kept)}")
+    res = [r for _, r in kept]
+    nans = [i for i, r in enumerate(res) if math.isnan(r)]
+    imax = nans[0] if nans else res.index(max(res))
+    try:
+        mean = math.fsum(res) / len(res)
+    except OverflowError:  # the sum is past the float range; numpy's mean is inf too
+        mean = math.inf
+    worst = res[imax]
+    return IdentityReport(identity_id, len(res), worst, mean, kept[imax][0], float(tolerance),
+                          worst <= tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +190,17 @@ def _check_ode(identity_id: str, values, h: float, grid: GridSpec,
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
             f"got [{grid.start}, {grid.end}]"
         )
-    locations, residuals = [], []
-    for z in grid.points():
-        z = float(z)
+
+    def residual(z):
         got = values(z)
         if got is None:
-            continue
+            return None
         (fm2, fm1, f0, fp1, fp2), source = got
         d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-        locations.append(z)
-        residuals.append(abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source))
-    return _make_report(identity_id, locations, residuals, tolerance)
+        return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source)
+
+    return _report(identity_id, ((z, residual(z)) for z in grid.points()), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +250,11 @@ def check_euler_reflection(grid: GridSpec, tolerance: float | None = None) -> Id
     tolerance = _tolerance("euler_reflection", tolerance)
     if grid.start <= 0.0 or grid.end >= 1.0:
         raise DomainError(f"reflection grid must lie within (0, 1), got [{grid.start}, {grid.end}]")
-    pts = grid.points()
-    residuals = [
-        abs(dilog(float(x)).value + dilog(1.0 - float(x)).value
-            - PI2_OVER_6 + math.log(float(x)) * math.log1p(-float(x)))
-        for x in pts
-    ]
-    return _make_report("euler_reflection", [float(x) for x in pts], residuals, tolerance)
+    return _report("euler_reflection", (
+        (x, abs(dilog(x).value + dilog(1.0 - x).value
+                - PI2_OVER_6 + math.log(x) * math.log1p(-x)))
+        for x in grid.points()
+    ), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -329,48 +329,38 @@ def li2_ratio_antiderivative_residual(a: float, b: float, tol: float = 1e-9,
     )
 
 
-def _interval_check(identity_id: str, grid: GridSpec, tol: float, residual_fn,
-                    extra: Sequence[tuple[float, float]] = ()) -> IdentityReport:
-    """Residuals over consecutive intervals of a grid within [0, 0.999]."""
+def _intervals(identity_id: str, grid: GridSpec) -> list[tuple[float, float]]:
+    """Consecutive intervals of a grid within [0, 0.999]."""
     if grid.start < 0.0 or grid.end > 0.999:
         raise DomainError(
             f"{identity_id} grid must lie within [0, 0.999], got [{grid.start}, {grid.end}]"
         )
     pts = grid.points()
-    locations, residuals = [], []
-    for a, b in zip(pts[:-1], pts[1:]):
-        locations.append(0.5 * (float(a) + float(b)))
-        residuals.append(residual_fn(float(a), float(b)))
-    for loc, r in extra:
-        locations.append(loc)
-        residuals.append(r)
-    return _make_report(identity_id, locations, residuals, tol)
+    return list(zip(pts[:-1], pts[1:]))
 
 
 def check_dilog_antiderivative(grid: GridSpec, tol: float | None = None) -> IdentityReport:
     """Integral of Li2 over consecutive grid intervals vs its antiderivative."""
     tol = _tolerance("dilog_antiderivative", tol)
-    return _interval_check(
-        "dilog_antiderivative", grid, tol,
-        lambda a, b: dilog_antiderivative_residual(a, b, tol),
-    )
+    return _report("dilog_antiderivative", (
+        (0.5 * (a + b), dilog_antiderivative_residual(a, b, tol))
+        for a, b in _intervals("dilog_antiderivative", grid)
+    ), tol)
 
 
 def check_li2_over_1mz_integral(grid: GridSpec, tol: float | None = None) -> IdentityReport:
     """Integral of Li2(t)/(1-t) over grid intervals vs the reduced
     antiderivative, plus three fixed log-form spot intervals at 1e-8."""
     tol = _tolerance("li2_over_1mz_integral", tol)
+    intervals = _intervals("li2_over_1mz_integral", grid)
     scale = tol / LOG_FORM_SPOT_BOUND
-    extra = [
-        (0.5 * (a + b),
-         li2_ratio_antiderivative_residual(a, b, LOG_FORM_SPOT_BOUND, form="log") * scale)
-        for a, b in _LOG_FORM_SPOT_INTERVALS
-    ]
-    return _interval_check(
-        "li2_over_1mz_integral", grid, tol,
-        lambda a, b: li2_ratio_antiderivative_residual(a, b, tol, form="reduced"),
-        extra=extra,
-    )
+    return _report("li2_over_1mz_integral", chain(
+        ((0.5 * (a + b), li2_ratio_antiderivative_residual(a, b, tol, form="reduced"))
+         for a, b in intervals),
+        ((0.5 * (a + b),
+          li2_ratio_antiderivative_residual(a, b, LOG_FORM_SPOT_BOUND, form="log") * scale)
+         for a, b in _LOG_FORM_SPOT_INTERVALS),
+    ), tol)
 
 
 # ---------------------------------------------------------------------------

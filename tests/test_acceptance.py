@@ -95,10 +95,8 @@ def test_criterion_05_first_integrals():
 def test_criterion_06_integral_identities():
     pts = GridSpec(0.05, 0.95, 11).points()
     intervals = list(zip(pts[:-1], pts[1:]))
-    worst_a = max(dilog_antiderivative_residual(float(a), float(b), 1e-9)
-                  for a, b in intervals)
-    worst_b = max(li2_ratio_antiderivative_residual(float(a), float(b), 1e-9)
-                  for a, b in intervals)
+    worst_a = max(dilog_antiderivative_residual(a, b, 1e-9) for a, b in intervals)
+    worst_b = max(li2_ratio_antiderivative_residual(a, b, 1e-9) for a, b in intervals)
     worst_spot = max(li2_ratio_antiderivative_residual(a, b, 1e-8, form="log")
                      for a, b in ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75)))
     _record(6, "integral identities <= 1e-9 on 10 intervals each; log-form spots <= 1e-8",

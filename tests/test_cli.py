@@ -329,7 +329,7 @@ class TestTruncationStudy:
                                "--nu-end", "0.2", "--nu-count", "3", "--z-start", "-0.8",
                                "--count", "7", "--format", "json")
         assert code == 0
-        zs = [float(z) for z in GridSpec(-0.8, 1.0, 7).points()]
+        zs = GridSpec(-0.8, 1.0, 7).points()
         records = json.loads(out)["records"]
         assert len(records) == 12 and records[4]["nu"] == 0.0
         for rec in records:
@@ -383,18 +383,25 @@ _PROBES = {
 }
 
 
-def _probe_output(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter that imports legnu from src."""
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports legnu from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def _probe_output(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter."""
+    run = _fresh("-c", code)
+    run.check_returncode()
+    return run.stdout
 
 
 @pytest.mark.parametrize("probe", list(_PROBES))
 @pytest.mark.parametrize("module", ["scipy.integrate", "numpy"])
 def test_one_value_paths_leave_module_unloaded(module, probe):
-    # no path needs scipy.integrate and only grids and reports need numpy,
+    # no path needs scipy.integrate and only grids need numpy,
     # which costs most of `import legnu`
     out = _probe_output(f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)")
     assert out.split()[-1] == "False"
@@ -409,3 +416,11 @@ def test_no_path_loads_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     assert out.splitlines()[-1] == "[]"
+
+
+def test_infinite_grid_end_is_one_error_line():
+    # the grid rejects the span itself: numpy would warn on it and make nan points
+    run = _fresh("-m", "legnu.cli", "tabulate", "--what", "d1", "--z-end", "inf", "--count", "3")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.splitlines() == ["error: grid requires start < end a finite distance "
+                                       "apart, got [-0.9, inf]"]

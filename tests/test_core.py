@@ -70,7 +70,7 @@ def _suite_quadratures():
     ratio = (lambda t: dilog(t).value / (1.0 - t), lambda mp, t: mp.polylog(2, t) / (1 - t))
 
     def intervals(grid):
-        pts = [float(t) for t in grid.points()]
+        pts = grid.points()
         return zip(pts[:-1], pts[1:])
 
     return ([(*li2, a, b, 1e-12) for a, b in intervals(GridSpec(0.0, 0.99, 11))]

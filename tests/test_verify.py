@@ -1,13 +1,17 @@
 """Tests for the identity-verification layer: grids, reports, the six
 checks, the suite driver, and report serialization."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from legnu import legendre, verify
 from legnu.core import DomainError
+from legnu.legendre import legendre_p
 from legnu.polylog import PI2_OVER_6, dilog
 from legnu.verify import (
     DEFAULT_TOLERANCES,
@@ -53,6 +57,13 @@ class TestGridSpec:
             g.count = 5
         assert g._replace(spacing="chebyshev").spacing == "chebyshev"
 
+    @pytest.mark.parametrize("start, end", [(-0.9, math.inf), (-math.inf, 0.5),
+                                            (-1e308, 1e308)])
+    def test_span_must_be_finite(self, start, end):
+        # an overflowing end - start would make nan points
+        with pytest.raises(DomainError, match="start < end"):
+            GridSpec(start, end, 3)
+
     def test_replace_and_make_validate(self):
         with pytest.raises(DomainError, match="int count"):
             GridSpec(0.0, 1.0, 3)._replace(count=1)
@@ -72,6 +83,112 @@ class TestGridSpec:
         assert np.all(np.diff(pts) > 0)
         # clustered toward the endpoints
         assert pts[1] - pts[0] < pts[8] - pts[7]
+
+
+def _numpy_imports(node: ast.AST, scope: str) -> list[str]:
+    """Dotted scope of every numpy import below ``node``."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += _numpy_imports(child, f"{scope}.{child.name}")
+        elif isinstance(child, ast.Import):
+            found += [scope for a in child.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(child, ast.ImportFrom):
+            found += [scope] if (child.module or "").split(".")[0] == "numpy" else []
+        else:
+            found += _numpy_imports(child, scope)
+    return found
+
+
+class TestNumpySeam:
+    """`GridSpec.points` is the package's one use of numpy."""
+
+    def test_numpy_is_imported_only_by_gridspec_points(self):
+        package = Path(verify.__file__).parent
+        found = [scope for path in sorted(package.rglob("*.py"))
+                 for scope in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")),
+                                             path.stem)]
+        assert found == ["verify.GridSpec.points"]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.integers(2, 300), st.sampled_from(["uniform", "chebyshev"]))
+    def test_points_are_numpys_as_python_floats(self, start, end, count, spacing):
+        assume(start < end and end - start < math.inf)
+        got = GridSpec(start, end, count, spacing).points()
+        if spacing == "uniform":
+            want = np.linspace(start, end, count)
+        else:
+            mid, half = 0.5 * (start + end), 0.5 * (end - start)
+            want = mid - half * np.cos(np.pi * np.arange(count) / (count - 1))
+            want[0], want[-1] = start, end
+        assert type(got) is list and all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
+        assert got[0] == start and got[-1] == end
+
+
+def _fake_interval_residuals(monkeypatch, values):
+    """Make `check_dilog_antiderivative` on GridSpec(0.1, 0.9, 9) see
+    ``values[k]`` as the residual of its k-th interval."""
+    monkeypatch.setattr(verify, "dilog_antiderivative_residual",
+                        lambda a, b, tol: values[round(10.0 * a) - 1])
+    pts = GridSpec(0.1, 0.9, 9).points()
+    return [0.5 * (a + b) for a, b in zip(pts[:-1], pts[1:])]
+
+
+class TestReportStatistics:
+    """The worst residual is the first NaN, else the first maximum; a
+    non-converged sample is left out of the count, the maximum and the mean."""
+
+    def test_nan_closed_form_fails_its_ode_check(self, monkeypatch):
+        grid = GridSpec(-0.9, 0.9, 51)
+        exact = legendre.d2p_dnu2_0
+        monkeypatch.setattr(legendre, "d2p_dnu2_0",
+                            lambda z: math.nan if abs(z) < 1e-9 else exact(z))
+        r = check_ode_deriv2(grid)
+        assert not r.passed and r.samples == 51
+        assert math.isnan(r.max_residual) and math.isnan(r.mean_residual)
+        assert r.argmax_location == grid.points()[25]
+
+    def test_nan_interval_fails_its_check(self, monkeypatch):
+        mids = _fake_interval_residuals(
+            monkeypatch, [4e-12, 8e-12, math.nan, 2e-12, 8e-12, 1e-12, math.nan, 3e-12])
+        r = check_dilog_antiderivative(GridSpec(0.1, 0.9, 9))
+        assert not r.passed and r.samples == 8
+        assert math.isnan(r.max_residual) and r.argmax_location == mids[2]
+
+    def test_ties_report_the_first_maximum(self, monkeypatch):
+        values = [k * 2.0 ** -45 for k in (3, 7, 1, 7, 2, 7, 0, 5)]
+        mids = _fake_interval_residuals(monkeypatch, values)
+        r = check_dilog_antiderivative(GridSpec(0.1, 0.9, 9))
+        assert r.passed and r.samples == 8
+        assert r.max_residual == values[1] and r.argmax_location == mids[1]
+        assert r.mean_residual == math.fsum(values) / 8
+
+    def test_sum_past_the_float_range_gives_an_infinite_mean(self, monkeypatch):
+        _fake_interval_residuals(monkeypatch, [1e308] * 8)
+        r = check_dilog_antiderivative(GridSpec(0.1, 0.9, 9))
+        assert not r.passed and r.max_residual == 1e308 and r.mean_residual == math.inf
+
+    def test_nonconverged_samples_are_left_out(self, monkeypatch):
+        # P_nu = v near the k-th point of a 0.1-step grid has zero stencil
+        # derivatives, so the degree-1 residual there is exactly |2 v|; None
+        # is a non-converged series with a huge value
+        values = [3.0, None, 1.0, 5.0, None, 2.0, 5.0, 4.0, 1.0, 0.0,
+                  2.0, None, 3.0, 1.0, 4.0, 2.0, 1.0, 3.0, 2.0]
+        template = legendre_p(0.0, 0.0)
+
+        def fake(nu, z, tol=None):
+            v = values[round(10.0 * z) + 9]
+            return template._replace(value=1e300 if v is None else v, converged=v is not None)
+
+        monkeypatch.setattr(verify, "legendre_p", fake)
+        grid = GridSpec(-0.9, 0.9, 19)
+        kept = [2.0 * v for v in values if v is not None]
+        r = check_ode_base(1.0, grid, 100.0)
+        assert r.samples == 16 and r.passed
+        assert r.max_residual == 10.0 and r.argmax_location == grid.points()[3]
+        assert r.mean_residual == math.fsum(kept) / 16
 
 
 class TestOdeChecks:
@@ -194,6 +311,19 @@ class TestIntegralIdentities:
             li2_ratio_antiderivative_residual(0.0, 0.5, form="log")
         with pytest.raises(DomainError):
             check_li2_over_1mz_integral(GridSpec(0.1, 0.9999, 5))
+
+    def test_grid_is_checked_before_any_quadrature(self, monkeypatch):
+        calls = []
+        original = verify.li2_ratio_antiderivative_residual
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "li2_ratio_antiderivative_residual", counting)
+        with pytest.raises(DomainError):
+            check_li2_over_1mz_integral(GridSpec(0.1, 0.9999, 5))
+        assert calls == []
 
     def test_checks_pass(self):
         r = check_dilog_antiderivative(GridSpec(0.0, 0.99, 11))
