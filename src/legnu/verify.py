@@ -92,9 +92,13 @@ _LOG_FORM_SPOT_INTERVALS = ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75))
 class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
     """An inclusive sampled range with at least two points.
 
-    spacing may be "uniform" or "chebyshev" (Chebyshev-Lobatto points,
-    clustered toward the endpoints); points are always returned ascending
-    with the endpoints hit exactly.  A named tuple, like `EvalResult`,
+    With n = count - 1, "uniform" spacing gives i * step + start with
+    step = (end - start) / n (i / n * (end - start) + start for a
+    subnormal span, where step is 0); "chebyshev" gives Chebyshev-Lobatto
+    points mid - half * cos(pi i / n), with mid = start/2 + end/2 and
+    half = (end - start) / 2, clustered toward the endpoints.  Both are
+    numpy's ``linspace`` and ``cos`` values bit for bit, ascending, with
+    the endpoints hit exactly.  A named tuple, like `EvalResult`,
     validated on construction, by ``_make`` and by ``_replace`` too.
     """
 
@@ -117,19 +121,14 @@ class GridSpec(namedtuple("GridSpec", ("start", "end", "count", "spacing"))):
         return cls(*iterable)
 
     def points(self) -> list[float]:
-        # the package's one use of numpy, imported at the first grid, not
-        # with the module: it costs most of `import legnu`, and one-value
-        # evaluation never needs it
-        import numpy as np
-
+        start, end, n = self.start, self.end, self.count - 1
         if self.spacing == "uniform":
-            return np.linspace(self.start, self.end, self.count).tolist()
-        mid = 0.5 * (self.start + self.end)
-        half = 0.5 * (self.end - self.start)
-        pts = mid - half * np.cos(np.pi * np.arange(self.count) / (self.count - 1))
-        pts[0] = self.start
-        pts[-1] = self.end
-        return pts.tolist()
+            step = (end - start) / n
+            if step == 0:  # a subnormal span: scale before multiplying
+                return [i / n * (end - start) + start for i in range(n)] + [end]
+            return [i * step + start for i in range(n)] + [end]
+        mid, half = 0.5 * start + 0.5 * end, 0.5 * (end - start)
+        return [start] + [mid - half * math.cos(math.pi * i / n) for i in range(1, n)] + [end]
 
 
 class IdentityReport(namedtuple("IdentityReport", (
@@ -164,7 +163,7 @@ def _report(identity_id: str, samples: Iterable[tuple[float, float | None]],
     imax = nans[0] if nans else res.index(max(res))
     try:
         mean = math.fsum(res) / len(res)
-    except OverflowError:  # the sum is past the float range; numpy's mean is inf too
+    except OverflowError:  # the sum is past the float range, so the mean is too
         mean = math.inf
     worst = res[imax]
     return IdentityReport(identity_id, len(res), worst, mean, kept[imax][0], float(tolerance),

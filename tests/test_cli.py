@@ -380,6 +380,10 @@ def test_missing_subcommand_exits_2(capsys):
 _PROBES = {
     "import": "import legnu, legnu.cli",
     "eval": "import legnu.cli; legnu.cli.main(['eval', '--what', 'd3', '--z', '0.3'])",
+    "tabulate": "import legnu.cli; legnu.cli.main(['tabulate', '--what', 'p,d1,d2,d3,maclaurin', "
+                "'--count', '11', '--spacing', 'chebyshev'])",
+    "truncation-study": "import legnu.cli; legnu.cli.main(['truncation-study', '--count', '11'])",
+    "verify": "import legnu.cli; legnu.cli.main(['verify'])",
 }
 
 
@@ -400,9 +404,9 @@ def _probe_output(code: str) -> str:
 
 @pytest.mark.parametrize("probe", list(_PROBES))
 @pytest.mark.parametrize("module", ["scipy.integrate", "numpy"])
-def test_one_value_paths_leave_module_unloaded(module, probe):
-    # no path needs scipy.integrate and only grids need numpy,
-    # which costs most of `import legnu`
+def test_no_command_path_loads_module(module, probe):
+    # the package needs nothing outside the standard library: numpy is a
+    # test extra, and quadrature is the package's own rule
     out = _probe_output(f"import sys; {_PROBES[probe]}; print({module!r} in sys.modules)")
     assert out.split()[-1] == "False"
 
@@ -424,3 +428,12 @@ def test_infinite_grid_end_is_one_error_line():
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.splitlines() == ["error: grid requires start < end a finite distance "
                                        "apart, got [-0.9, inf]"]
+
+
+def test_huge_finite_grid_span_is_one_error_line():
+    # a finite span whose last step passes the float range: the grid must not
+    # warn, so the argument check's error is all that is printed
+    run = _fresh("-m", "legnu.cli", "tabulate", "--what", "d1", "--z-start", "0",
+                 "--z-end", "1.7976931348623157e308", "--count", "25")
+    assert run.returncode == 2 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1 and "Warning" not in run.stderr

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from legnu import legendre, verify
 from legnu.core import DomainError
@@ -101,30 +101,47 @@ def _numpy_imports(node: ast.AST, scope: str) -> list[str]:
 
 
 class TestNumpySeam:
-    """`GridSpec.points` is the package's one use of numpy."""
+    """numpy is a test-only reference: `src/` never imports it, and
+    `GridSpec.points` reproduces numpy's grids bit for bit."""
 
-    def test_numpy_is_imported_only_by_gridspec_points(self):
-        package = Path(verify.__file__).parent
-        found = [scope for path in sorted(package.rglob("*.py"))
+    def test_src_imports_numpy_nowhere(self):
+        src = Path(verify.__file__).parents[1]
+        found = [scope for path in sorted(src.rglob("*.py"))
                  for scope in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")),
                                              path.stem)]
-        assert found == ["verify.GridSpec.points"]
+        assert found == []
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.floats(allow_nan=False, allow_infinity=False),
            st.integers(2, 300), st.sampled_from(["uniform", "chebyshev"]))
+    @example(0.0, 1.7976931348623157e308, 25, "uniform")
+    @example(0.0, 1e-323, 5, "uniform")
+    @example(1e308, 1.7e308, 3, "chebyshev")
+    @example(-0.9, 1.0, 10000, "uniform")
+    @example(-0.9, 1.0, 10000, "chebyshev")
     def test_points_are_numpys_as_python_floats(self, start, end, count, spacing):
         assume(start < end and end - start < math.inf)
         got = GridSpec(start, end, count, spacing).points()
-        if spacing == "uniform":
-            want = np.linspace(start, end, count)
-        else:
-            mid, half = 0.5 * (start + end), 0.5 * (end - start)
-            want = mid - half * np.cos(np.pi * np.arange(count) / (count - 1))
-            want[0], want[-1] = start, end
+        with np.errstate(over="ignore"):  # numpy warns where i * step passes the float range
+            if spacing == "uniform":
+                want = np.linspace(start, end, count)
+            else:
+                mid, half = 0.5 * start + 0.5 * end, 0.5 * (end - start)
+                want = mid - half * np.cos(np.pi * np.arange(count) / (count - 1))
+                want[0], want[-1] = start, end
         assert type(got) is list and all(type(x) is float for x in got)
         assert np.array(got).tobytes() == want.tobytes()
         assert got[0] == start and got[-1] == end
+
+    @pytest.mark.parametrize("start, end, count", [(1e308, 1.7e308, 3), (-1.7e308, -1e308, 5),
+                                                   (0.0, 1.7976931348623157e308, 25)])
+    @pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
+    def test_points_near_the_float_limit_are_finite_and_ascending(self, start, end, count,
+                                                                   spacing):
+        # a midpoint that summed the ends before halving would overflow here
+        pts = GridSpec(start, end, count, spacing).points()
+        assert all(math.isfinite(x) for x in pts)
+        assert all(a < b for a, b in zip(pts, pts[1:]))
 
 
 def _fake_interval_residuals(monkeypatch, values):
