@@ -32,8 +32,9 @@ __all__ = [
 #: Largest |degree| accepted by the series evaluator.
 DEGREE_ENVELOPE = 5.0
 
-#: Series term cap; at the default tolerance it is reached for 1 + z below
-#: about 4e-4 (3e-4 fails, 4e-4 converges).
+#: Series term cap per argument, in `legendre_p` and in `_p_series` alike; at
+#: the default tolerance it is reached for 1 + z below about 4e-4 (3e-4
+#: fails, 4e-4 converges).
 MAX_TERMS = 100_000
 
 #: Accuracy contract of the oracle per derivative order: results whose
@@ -71,6 +72,19 @@ def _check_degree(nu: float) -> float:
     return nu
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"series tolerance must be positive and finite, got {tol}")
+
+
+def _converged(total: float, abs_total: float, term: float, u: float, k: int) -> EvalResult:
+    """The series result once terms k - 1 and k both fell below the tolerance:
+    the tail is geometric-ish with ratio u, plus a rounding allowance that
+    grows with the summation length."""
+    tail = abs(term) * u / (1.0 - u)
+    return EvalResult(total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True)
+
+
 def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     """Legendre function of the first kind, P_nu(z), for real degree.
 
@@ -78,7 +92,9 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     c_{k+1} = c_k (k - nu)(k + nu + 1) / (k + 1)^2, stopping once two
     consecutive terms fall below ``tol`` relative to the partial sum.
     For integer degree the series terminates and the usual polynomials
-    are recovered exactly; P_nu(1) = 1 for every degree.
+    are recovered exactly; P_nu(1) = 1 for every degree.  The recurrence
+    runs fused into the sum, with no table; `_p_series` gives the same
+    results bit for bit for many arguments, from one coefficient table.
 
     Parameters
     ----------
@@ -98,14 +114,13 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     """
     nu = _check_degree(nu)
     z = _check_argument(z)
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"series tolerance must be positive and finite, got {tol}")
+    _check_tolerance(tol)
     u = 0.5 * (1.0 - z)
     total = 1.0
     abs_total = 1.0
     coeff = 1.0
     upow = 1.0
-    small_run = 0
+    last_small = -2
     for k in range(MAX_TERMS):
         coeff *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
         upow *= u
@@ -113,16 +128,44 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
         total += term
         abs_total += abs(term)
         if abs(term) <= tol * abs(total):
-            small_run += 1
-            if small_run >= 2:
-                # tail is geometric-ish with ratio u; add a rounding
-                # allowance that grows with the summation length
-                tail = abs(term) * u / (1.0 - u)
-                est = tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0))
-                return EvalResult(total, est, True)
-        else:
-            small_run = 0
+            if last_small == k - 1:
+                return _converged(total, abs_total, term, u, k)
+            last_small = k
     return EvalResult(total, math.inf, False)
+
+
+def _p_series(nu: float, zs, tol: float) -> list[EvalResult]:
+    """``[legendre_p(nu, z, tol) for z in zs]``, equal bit for bit, with the
+    coefficients c_1, c_2, ... computed once: the first sums fill a table
+    that later sums read, extending it when they need more terms.  The
+    table lives for this call only."""
+    nu = _check_degree(nu)
+    zs = [_check_argument(z) for z in zs]
+    _check_tolerance(tol)
+    table: list[float] = []  # table[k] is c_(k+1)
+    out = []
+    for z in zs:
+        u = 0.5 * (1.0 - z)
+        total = abs_total = upow = 1.0
+        last_small = -2
+        n = len(table)
+        for k in range(MAX_TERMS):
+            if k == n:
+                table.append((table[-1] if k else 1.0)
+                             * ((k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))))
+                n += 1
+            upow *= u
+            term = table[k] * upow
+            total += term
+            abs_total += abs(term)
+            if abs(term) <= tol * abs(total):
+                if last_small == k - 1:
+                    out.append(_converged(total, abs_total, term, u, k))
+                    break
+                last_small = k
+        else:
+            out.append(EvalResult(total, math.inf, False))
+    return out
 
 
 def dp_dnu0(z: float) -> float:

@@ -36,7 +36,7 @@ from itertools import chain
 from typing import Iterable, Mapping
 
 from .core import DomainError, adaptive_quad
-from .legendre import _NU_DERIVATIVES, d3p_dnu3_0, legendre_p
+from .legendre import _NU_DERIVATIVES, _check_degree, _p_series, d3p_dnu3_0
 from .polylog import PI2_OVER_6, dilog, trilog
 
 __all__ = [
@@ -182,16 +182,16 @@ def _ode_source(order: int, z: float) -> float:
 def _check_ode(identity_id: str, values, h: float, grid: GridSpec,
                tolerance: float) -> IdentityReport:
     """|(1-z^2) f'' - 2z f' + source| over the grid, the derivatives by
-    5-point stencils.  ``values(z)`` returns f at z-2h .. z+2h and the
-    source at z, or None to exclude z from the report."""
+    5-point stencils.  ``values(points)`` returns, for each grid point z, f
+    at z-2h .. z+2h and the source at z, or None to exclude z from the
+    report; it is called once the grid is checked."""
     if grid.start < -_ODE_GRID_LIMIT or grid.end > _ODE_GRID_LIMIT:
         raise DomainError(
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
             f"got [{grid.start}, {grid.end}]"
         )
 
-    def residual(z):
-        got = values(z)
+    def residual(z, got):
         if got is None:
             return None
         (fm2, fm1, f0, fp1, fp2), source = got
@@ -199,7 +199,9 @@ def _check_ode(identity_id: str, values, h: float, grid: GridSpec,
         d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
         return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source)
 
-    return _report(identity_id, ((z, residual(z)) for z in grid.points()), tolerance)
+    points = grid.points()
+    return _report(identity_id, ((z, residual(z, got)) for z, got in zip(points, values(points))),
+                   tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +215,13 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
     """
     tolerance = _tolerance("ode_base", tolerance)
 
-    def values(z):
-        evals = [legendre_p(nu, z + k * _ODE_STEP, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
-        if not all(e.converged for e in evals):
-            return None
-        return [e.value for e in evals], nu * (nu + 1.0) * evals[2].value
+    def values(points):
+        _check_degree(nu)  # after the grid, before any series work
+        zs = [z + k * _ODE_STEP for z in points for k in (-2, -1, 0, 1, 2)]
+        evals = _p_series(nu, zs, 1e-15)  # one coefficient table for every point
+        stencils = (evals[i:i + 5] for i in range(0, len(evals), 5))
+        return [([e.value for e in s], nu * (nu + 1.0) * s[2].value)
+                if all(e.converged for e in s) else None for s in stencils]
 
     return _check_ode("ode_base", values, _ODE_STEP, grid, tolerance)
 
@@ -227,7 +231,8 @@ def _check_ode_closed_form(order: int, step: float, grid: GridSpec,
     f = _NU_DERIVATIVES[order]
     return _check_ode(
         f"ode_deriv{order}",
-        lambda z: ([f(z + k * step) for k in (-2, -1, 0, 1, 2)], _ode_source(order, z)),
+        lambda points: (([f(z + k * step) for k in (-2, -1, 0, 1, 2)], _ode_source(order, z))
+                        for z in points),
         step, grid, tolerance,
     )
 

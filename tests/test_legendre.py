@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import lpmv
 
 from legnu import legendre
@@ -88,6 +89,38 @@ def test_series_tolerance_must_be_positive_and_finite(tol):
 def test_nonconvergence_is_flagged_near_minus_one():
     r = legendre_p(0.5, -0.9999)
     assert not r.converged
+
+
+# arguments drawn partly from a short list, so that repeats occur; the examples
+# add -0.99999, where the term cap is reached and the estimate is infinite
+_SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0.99, 1.0))
+
+
+@settings(deadline=None)
+@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=8),
+       st.sampled_from([1e-14, 1e-15]))
+@example(0.0, [0.3, 1.0, -0.9, 0.3], 1e-15)
+@example(1.0, [-0.5, -0.99999, 0.25], 1e-14)
+@example(3.0, [0.9, -0.9, 1.0], 1e-15)
+@example(-4.0, [-0.7, -0.7, 0.1], 1e-14)
+@example(0.5, [-0.99999, -0.9, 1.0, -0.9], 1e-15)
+@example(-2.7, [0.3, -0.99999, 0.3], 1e-14)
+def test_p_series_is_legendre_p_at_each_argument(nu, zs, tol):
+    # one coefficient table for all arguments gives the per-argument results
+    # bit for bit, the non-converged return at the term cap included
+    assert legendre._p_series(nu, zs, tol) == [legendre_p(nu, z, tol) for z in zs]
+
+
+@pytest.mark.parametrize("nu, zs, tol, match", [
+    (0.5, [-1.0], 1e-15, "argument"),
+    (0.5, [0.3, -0.5, 1.0000001], 1e-15, "argument"),
+    (0.5, [0.3, math.nan, 0.2], 1e-14, "argument"),
+    (5.1, [0.3], 1e-15, "degree"),
+    (0.5, [0.3], 0.0, "tolerance"),
+])
+def test_p_series_rejects_what_legendre_p_rejects(nu, zs, tol, match):
+    with pytest.raises(DomainError, match=match):
+        legendre._p_series(nu, zs, tol)
 
 
 def test_dp_dnu0_values():

@@ -199,7 +199,7 @@ class TestReportStatistics:
             v = values[round(10.0 * z) + 9]
             return template._replace(value=1e300 if v is None else v, converged=v is not None)
 
-        monkeypatch.setattr(verify, "legendre_p", fake)
+        monkeypatch.setattr(verify, "_p_series", lambda nu, zs, tol: [fake(nu, z, tol) for z in zs])
         grid = GridSpec(-0.9, 0.9, 19)
         kept = [2.0 * v for v in values if v is not None]
         r = check_ode_base(1.0, grid, 100.0)
@@ -224,6 +224,40 @@ class TestOdeChecks:
     def test_base_respects_grid_bound(self):
         with pytest.raises(DomainError):
             check_ode_base(0.5, GridSpec(-0.99, 0.9, 11))
+
+    @pytest.mark.parametrize("nu, grid, tol, match", [
+        (6.0, GridSpec(-0.99, 0.9, 11), 0.0, "^ode_base: tolerance"),
+        (math.nan, GridSpec(-0.99, 0.9, 11), None, "^ODE residual grids"),
+        (6.0, GridSpec(-0.9, 0.9, 11), None, "^degree"),
+        (math.nan, GridSpec(-0.9, 0.9, 11), None, "^degree"),
+    ])
+    def test_base_errors_come_before_any_series_work(self, monkeypatch, nu, grid, tol, match):
+        # a bad tolerance first, then a grid outside +-0.95, then a bad degree
+        calls = []
+        monkeypatch.setattr(verify, "_p_series", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match=match):
+            check_ode_base(nu, grid, tol)
+        assert calls == []
+
+    @pytest.mark.parametrize("nu", [0.5, 0.0, 3.0, -4.2])
+    @pytest.mark.parametrize("grid", [GridSpec(-0.9, 0.9, 101),
+                                      GridSpec(-0.9, 0.9, 33, "chebyshev")])
+    def test_base_is_per_point_legendre_p(self, nu, grid):
+        # the report from one series call equals one built here from
+        # per-point legendre_p calls on the same 5-point stencils
+        h, kept = 1e-3, []
+        for z in grid.points():
+            evals = [legendre_p(nu, z + k * h, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
+            if all(e.converged for e in evals):
+                fm2, fm1, f0, fp1, fp2 = (e.value for e in evals)
+                d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+                d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+                kept.append((z, abs((1.0 - z * z) * d2 - 2.0 * z * d1 + nu * (nu + 1.0) * f0)))
+        res = [r for _, r in kept]
+        worst = max(res)
+        want = IdentityReport("ode_base", len(res), worst, math.fsum(res) / len(res),
+                              kept[res.index(worst)][0], 1e-6, worst <= 1e-6)
+        assert check_ode_base(nu, grid) == want
 
     def test_deriv2(self):
         r = check_ode_deriv2(GridSpec(-0.9, 0.9, 51))
