@@ -25,6 +25,13 @@ class DomainError(ValueError):
     """Raised when an argument lies outside a function's supported domain."""
 
 
+def _check_tolerance(label: str, tol: float) -> None:
+    """Raise `DomainError`, its message led by ``label``, unless ``tol`` is
+    positive and finite."""
+    if not (0.0 < tol < math.inf):
+        raise DomainError(f"{label} tolerance must be positive and finite, got {tol}")
+
+
 class EvalResult(namedtuple("EvalResult", ("value", "abs_err_est", "converged"))):
     """A numeric value with an a-posteriori error estimate.
 
@@ -103,8 +110,7 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
     estimates.  Non-convergence, including a NaN estimate, is reported
     through the result flag, never raised.
     """
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"quadrature tolerance must be positive and finite, got {tol}")
+    _check_tolerance("quadrature", tol)
     if a == b:
         return EvalResult(0.0, 0.0, True)
     value, err, floor = _gk15(f, a, b)

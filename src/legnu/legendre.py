@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult
+from .core import EPS, DomainError, EvalResult, _check_tolerance
 from .polylog import _LI2_ODD, ZETA3, _horner, dilog, trilog
 
 __all__ = [
@@ -72,11 +72,6 @@ def _check_degree(nu: float) -> float:
     return nu
 
 
-def _check_tolerance(tol: float) -> None:
-    if not (0.0 < tol < math.inf):
-        raise DomainError(f"series tolerance must be positive and finite, got {tol}")
-
-
 def _converged(total: float, abs_total: float, term: float, u: float, k: int) -> EvalResult:
     """The series result once terms k - 1 and k both fell below the tolerance:
     the tail is geometric-ish with ratio u, plus a rounding allowance that
@@ -114,7 +109,7 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     """
     nu = _check_degree(nu)
     z = _check_argument(z)
-    _check_tolerance(tol)
+    _check_tolerance("series", tol)
     u = 0.5 * (1.0 - z)
     total = 1.0
     abs_total = 1.0
@@ -141,7 +136,7 @@ def _p_series(nu: float, zs, tol: float) -> list[EvalResult]:
     table lives for this call only."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
-    _check_tolerance(tol)
+    _check_tolerance("series", tol)
     table: list[float] = []  # table[k] is c_(k+1)
     out = []
     for z in zs:

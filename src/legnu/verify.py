@@ -35,7 +35,7 @@ from collections import namedtuple
 from itertools import chain
 from typing import Iterable, Mapping
 
-from .core import DomainError, adaptive_quad
+from .core import DomainError, _check_tolerance, adaptive_quad
 from .legendre import _NU_DERIVATIVES, _check_degree, _p_series, d3p_dnu3_0
 from .polylog import PI2_OVER_6, dilog, trilog
 
@@ -145,8 +145,7 @@ def _tolerance(identity_id: str, value: float | None) -> float:
     must be positive and finite."""
     if value is None:
         return DEFAULT_TOLERANCES[identity_id]
-    if not (0.0 < value < math.inf):
-        raise DomainError(f"{identity_id}: tolerance must be positive and finite, got {value}")
+    _check_tolerance(f"{identity_id}:", value)
     return value
 
 
@@ -179,29 +178,30 @@ def _ode_source(order: int, z: float) -> float:
             + order * (order - 1) * _NU_DERIVATIVES[order - 2](z))
 
 
-def _check_ode(identity_id: str, values, h: float, grid: GridSpec,
+def _check_ode(identity_id: str, f, source, h: float, grid: GridSpec,
                tolerance: float) -> IdentityReport:
-    """|(1-z^2) f'' - 2z f' + source| over the grid, the derivatives by
-    5-point stencils.  ``values(points)`` returns, for each grid point z, f
-    at z-2h .. z+2h and the source at z, or None to exclude z from the
-    report; it is called once the grid is checked."""
+    """|(1-z^2) f'' - 2z f' + source(z, f(z))| over the grid, the derivatives
+    by 5-point stencils.  Once the grid is checked, ``f`` is called once with
+    the stencil points z-2h .. z+2h of every grid point z and returns a value,
+    or None, for each; a z whose stencil holds a None is left out."""
     if grid.start < -_ODE_GRID_LIMIT or grid.end > _ODE_GRID_LIMIT:
         raise DomainError(
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
             f"got [{grid.start}, {grid.end}]"
         )
+    points = grid.points()
+    values = f([z + k * h for z in points for k in (-2, -1, 0, 1, 2)])
 
-    def residual(z, got):
-        if got is None:
+    def residual(z, stencil):
+        if None in stencil:
             return None
-        (fm2, fm1, f0, fp1, fp2), source = got
+        fm2, fm1, f0, fp1, fp2 = stencil
         d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-        return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source)
+        return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source(z, f0))
 
-    points = grid.points()
-    return _report(identity_id, ((z, residual(z, got)) for z, got in zip(points, values(points))),
-                   tolerance)
+    return _report(identity_id, ((z, residual(z, values[5 * i:5 * i + 5]))
+                                 for i, z in enumerate(points)), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -215,26 +215,20 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
     """
     tolerance = _tolerance("ode_base", tolerance)
 
-    def values(points):
+    def p_values(zs):
         _check_degree(nu)  # after the grid, before any series work
-        zs = [z + k * _ODE_STEP for z in points for k in (-2, -1, 0, 1, 2)]
-        evals = _p_series(nu, zs, 1e-15)  # one coefficient table for every point
-        stencils = (evals[i:i + 5] for i in range(0, len(evals), 5))
-        return [([e.value for e in s], nu * (nu + 1.0) * s[2].value)
-                if all(e.converged for e in s) else None for s in stencils]
+        # one coefficient table for every point
+        return [e.value if e.converged else None for e in _p_series(nu, zs, 1e-15)]
 
-    return _check_ode("ode_base", values, _ODE_STEP, grid, tolerance)
+    return _check_ode("ode_base", p_values, lambda z, f0: nu * (nu + 1.0) * f0,
+                      _ODE_STEP, grid, tolerance)
 
 
 def _check_ode_closed_form(order: int, step: float, grid: GridSpec,
                            tolerance: float) -> IdentityReport:
     f = _NU_DERIVATIVES[order]
-    return _check_ode(
-        f"ode_deriv{order}",
-        lambda points: (([f(z + k * step) for k in (-2, -1, 0, 1, 2)], _ode_source(order, z))
-                        for z in points),
-        step, grid, tolerance,
-    )
+    return _check_ode(f"ode_deriv{order}", lambda zs: [f(z) for z in zs],
+                      lambda z, _: _ode_source(order, z), step, grid, tolerance)
 
 
 def check_ode_deriv2(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
@@ -374,7 +368,9 @@ def _resolve_tolerances(tolerances: Mapping[str, float] | None) -> dict[str, flo
     resolved = dict(DEFAULT_TOLERANCES)
     for key, value in (tolerances or {}).items():
         matches = [key] if key in resolved else [n for n in IDENTITY_IDS if n.startswith(key)]
-        if len(matches) != 1:
+        if len(matches) > 1:
+            raise ValueError(f"ambiguous identity prefix {key!r}: matches {', '.join(matches)}")
+        if not matches:
             raise ValueError(
                 f"unknown identity {key!r}; expected one of {', '.join(IDENTITY_IDS)} "
                 f"or a unique prefix"

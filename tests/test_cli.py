@@ -287,6 +287,12 @@ class TestVerify:
         assert code == 2
         assert "unknown identity" in err
 
+    def test_ambiguous_identity_prefix(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--tol", "ode=1e-6")
+        assert code == 2 and out == ""
+        assert err == ("error: ambiguous identity prefix 'ode': "
+                       "matches ode_base, ode_deriv2, ode_deriv3\n")
+
 
 @pytest.fixture(scope="module")
 def study():

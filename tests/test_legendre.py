@@ -82,7 +82,7 @@ def test_domain_validation():
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
 def test_series_tolerance_must_be_positive_and_finite(tol):
     # nan used to sum all MAX_TERMS terms; inf returned a truncated value as converged
-    with pytest.raises(DomainError, match="positive and finite"):
+    with pytest.raises(DomainError, match="^series tolerance must be positive and finite, got "):
         legendre_p(0.3, -0.5, tol=tol)
 
 

@@ -259,6 +259,26 @@ class TestOdeChecks:
                               kept[res.index(worst)][0], 1e-6, worst <= 1e-6)
         assert check_ode_base(nu, grid) == want
 
+    @pytest.mark.parametrize("order, h, check", [(2, 1e-3, check_ode_deriv2),
+                                                 (3, 5e-4, check_ode_deriv3)])
+    @pytest.mark.parametrize("grid", [GridSpec(-0.9, 0.9, 101), GridSpec(-0.9, 0.9, 51),
+                                      GridSpec(-0.9, 0.9, 33, "chebyshev")])
+    def test_closed_form_is_per_point(self, order, h, check, grid):
+        # the report equals one built here from per-point closed forms on
+        # explicit 5-point stencils, with the source k d_(k-1) + k (k-1) d_(k-2)
+        d = (lambda z: 1.0, legendre.dp_dnu0, legendre.d2p_dnu2_0, legendre.d3p_dnu3_0)
+        res = []
+        for z in grid.points():
+            fm2, fm1, f0, fp1, fp2 = (d[order](z + k * h) for k in (-2, -1, 0, 1, 2))
+            d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+            d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+            source = order * d[order - 1](z) + order * (order - 1) * d[order - 2](z)
+            res.append(abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source))
+        worst = max(res)
+        want = IdentityReport(f"ode_deriv{order}", len(res), worst, math.fsum(res) / len(res),
+                              grid.points()[res.index(worst)], 1e-6, worst <= 1e-6)
+        assert check(grid) == want
+
     def test_deriv2(self):
         r = check_ode_deriv2(GridSpec(-0.9, 0.9, 51))
         assert r.passed
@@ -430,10 +450,11 @@ class TestRunAll:
         assert sum(not r.passed for r in reports) == 1
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown identity 'spherical'; expected one of "):
             run_all({"spherical": 1e-6})
-        with pytest.raises(ValueError):
-            run_all({"ode": 1e-6})  # ambiguous prefix
+        with pytest.raises(ValueError, match="^ambiguous identity prefix 'ode': matches "
+                                             "ode_base, ode_deriv2, ode_deriv3$"):
+            run_all({"ode": 1e-6})
 
     def test_deterministic(self):
         assert run_all() == run_all()
