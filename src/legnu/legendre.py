@@ -5,8 +5,9 @@ P_nu(z) is evaluated on z in (-1, 1] through the Gauss hypergeometric
 series in u = (1-z)/2, whose convergence region u < 1 matches the
 supported interval exactly.  The first three derivatives with respect to
 the degree, taken at degree 0, have closed forms in logarithms, the
-dilogarithm and the trilogarithm; a Richardson-extrapolated central
-finite-difference oracle is provided to check them independently.
+dilogarithm and the trilogarithm; an oracle that sums the
+degree-differentiated Mehler-Dirichlet integral by adaptive quadrature
+checks them independently.
 
 Supported envelope: z in (-1, 1] and |nu| <= 5.  As z -> -1 the first
 degree-derivative diverges while the second tends to the finite limit
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult, _check_tolerance
+from .core import EPS, DomainError, EvalResult, _check_tolerance, adaptive_quad
 from .polylog import _LI2_ODD, ZETA3, _horner, dilog, trilog
 
 __all__ = [
@@ -38,20 +39,8 @@ DEGREE_ENVELOPE = 5.0
 MAX_TERMS = 100_000
 
 #: Accuracy contract of the oracle per derivative order: results whose
-#: tableau error estimate exceeds these are flagged as non-converged.
+#: quadrature error estimate exceeds these are flagged as non-converged.
 ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
-
-_ORACLE_LEVELS = 4  # base step plus three halvings
-_ORACLE_STEP = 0.02  # base step in the degree
-
-# Central stencils about degree 0, error O(h^2): order -> (multiple of the
-# step, weight) pairs, the sum of weight * P_nu at those degrees being
-# h^order times the derivative.  Sum |weight| scales the rounding floor.
-_STENCILS = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-}
 
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
 # the coefficient of s^(2k+4)
@@ -259,12 +248,19 @@ def _maclaurin(nu: float, z: float, order: int, known: tuple) -> float:
 
 
 def nu_derivative_oracle(z: float, order: int) -> EvalResult:
-    """Degree-derivative of P_nu(z) at degree 0 by finite differences.
+    """Degree-derivative of P_nu(z) at degree 0 by quadrature.
 
-    Applies the central stencil of the requested order to `legendre_p`
-    in the degree about 0, at a fixed step of 0.02 and three halvings of
-    it, then removes the O(h^2), O(h^4), ... error terms by Richardson
-    extrapolation.  Kept free of the closed forms so it can certify them.
+    Differentiates the Mehler-Dirichlet integral (DLMF 14.12.1) under the
+    integral sign: with z = cos(theta),
+    d_n(z) = (sqrt(2)/pi) * integral over [0, theta] of
+    phi^n cos(phi/2 + n pi/2) / sqrt(cos(phi) - cos(theta)) dphi.
+    The substitution phi = theta - t^2, with
+    cos(phi) - cos(theta) = 2 sin(theta - t^2/2) sin(t^2/2), makes the
+    integrand bounded on t in [0, sqrt(theta)]; `adaptive_quad` sums it.
+    For z < 0 the angle is taken from 1 + z, theta = pi - delta, and
+    sin(theta - t^2/2) is evaluated as sin(delta + t^2/2), so nothing
+    cancels near z = -1 or z = 1.  Shares no code with the series, the
+    closed forms or the polylogarithm kernels, so it can certify them.
 
     Parameters
     ----------
@@ -276,42 +272,36 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     Returns
     -------
     EvalResult
-        abs_err_est combines the extrapolation-tableau disagreement with
-        the stencil roundoff floor; converged is False when the estimate
-        exceeds the order's accuracy cap (`ORACLE_ERR_CAP`).  If any P_nu
-        it evaluates did not converge, the extrapolated value is returned
-        with abs_err_est inf and converged False.
+        abs_err_est is the quadrature's estimate, asked of it to
+        1e-12 max(1, theta^n) (the n = 0 integral is P_0 = 1, so
+        |d_n| <= theta^n); converged is False when the quadrature did not
+        converge or the estimate exceeds the order's accuracy cap
+        (`ORACLE_ERR_CAP`).  At z = 1 the interval is empty and the value
+        exactly 0.
     """
     z = _check_argument(z)
-    stencil = _STENCILS.get(order) if type(order) is int else None
-    if stencil is None:
-        raise DomainError(f"oracle derivative order must be an int in {tuple(_STENCILS)}, "
+    if type(order) is not int or order not in ORACLE_ERR_CAP:
+        raise DomainError(f"oracle derivative order must be an int in {tuple(ORACLE_ERR_CAP)}, "
                           f"got {order!r}")
+    if z >= 0.0:
+        theta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - z)))
+        sin_half_sum = lambda u: math.sin(theta - u)  # sin((phi + theta) / 2)
+    else:
+        delta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 + z)))
+        theta = math.pi - delta
+        sin_half_sum = lambda u: math.sin(delta + u)
+    # cos(x + n pi/2) for n = 0 .. 3, with x = phi/2
+    trig, sign = ((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0))[order]
 
-    # The levels share points: degree 0 in the order-2 stencil, and +-2h at
-    # one level is +-h at the level before (the steps halve exactly), so
-    # each distinct degree is evaluated once.
-    results: dict[float, EvalResult] = {}
-    row: list[float] = []
-    for i in range(_ORACLE_LEVELS):
-        h = _ORACLE_STEP / 2.0**i
-        total = 0.0
-        for multiple, weight in stencil:
-            nu = multiple * h
-            r = results.get(nu)
-            if r is None:
-                r = results[nu] = legendre_p(nu, z, tol=1e-15)
-            total += weight * r.value
-        prev, row = row, [total / h**order]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - prev[j - 1]) / (factor - 1.0))
+    # dphi / sqrt(cos(phi) - cos(theta)) in t; G7-K15 never samples t = 0,
+    # where it tends to 2 / sqrt(sin(theta)) dt
+    def integrand(t: float) -> float:
+        u = 0.5 * t * t  # (theta - phi) / 2
+        phi = theta - t * t
+        return sign * phi**order * trig(0.5 * phi) * 2.0 * t / math.sqrt(
+            2.0 * sin_half_sum(u) * math.sin(u))
 
-    value = row[-1]
-    if not all(r.converged for r in results.values()):
-        return EvalResult(value, math.inf, False)
-    fmax = max(1.0, *(abs(r.value) for r in results.values()))
-    weight_sum = sum(abs(weight) for _, weight in stencil)
-    noise_floor = 2.0 * weight_sum * EPS * fmax / h**order
-    est = max(abs(value - row[-2]), abs(value - prev[-1]), noise_floor)
-    return EvalResult(value, est, est <= ORACLE_ERR_CAP[order])
+    q = adaptive_quad(integrand, 0.0, math.sqrt(theta), 1e-12 * max(1.0, theta**order))
+    scale = math.sqrt(2.0) / math.pi
+    est = scale * q.abs_err_est
+    return EvalResult(scale * q.value, est, q.converged and est <= ORACLE_ERR_CAP[order])

@@ -43,7 +43,7 @@ def test_criterion_01_order2_closed_form_vs_oracle():
         for z in np.linspace(-0.9, 1.0, 20)
     )
     elapsed = time.perf_counter() - start
-    _record(1, "order-2 closed form vs FD oracle on 20 z-points <= 1e-7, < 5 s",
+    _record(1, "order-2 closed form vs quadrature oracle on 20 z-points <= 1e-7, < 5 s",
             worst <= 1e-7 and elapsed < 5.0,
             f"max dev {worst:.3e}, {elapsed:.2f} s")
 
@@ -55,7 +55,7 @@ def test_criterion_02_order3_closed_form_vs_oracle():
         for z in np.linspace(-0.9, 1.0, 20)
     )
     elapsed = time.perf_counter() - start
-    _record(2, "order-3 closed form vs FD oracle on 20 z-points <= 1e-5, < 10 s",
+    _record(2, "order-3 closed form vs quadrature oracle on 20 z-points <= 1e-5, < 10 s",
             worst <= 1e-5 and elapsed < 10.0,
             f"max dev {worst:.3e}, {elapsed:.2f} s")
 

@@ -16,7 +16,13 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from legnu.legendre import d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p  # noqa: E402
+from legnu.legendre import (  # noqa: E402
+    d2p_dnu2_0,
+    d3p_dnu3_0,
+    dp_dnu0,
+    legendre_p,
+    nu_derivative_oracle,
+)
 from legnu.polylog import dilog, trilog  # noqa: E402
 
 #: Relative accuracy contract of the closed-form degree-derivatives.
@@ -63,6 +69,18 @@ def test_d3_meets_relative_contract_across_the_switch():
 
 def test_d3_vanishes_exactly_at_one():
     assert d3p_dnu3_0(1.0) == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_oracle_meets_relative_contract_within_estimate(k):
+    misses = []
+    for z in Z_GRID:
+        r = nu_derivative_oracle(z, k)
+        ref = _deriv_ref(k, z)
+        err = float(abs(mp.mpf(r.value) - ref))
+        if not (r.converged and err <= r.abs_err_est and err <= REL * max(1.0, abs(ref))):
+            misses.append((z, err, r))
+    assert not misses, f"d{k}: {len(misses)} misses, first {misses[0]}"
 
 
 # With a fixed rounding allowance, 22 (Li2) and 14 (Li3) of the uniform points
