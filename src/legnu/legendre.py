@@ -293,7 +293,7 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     # cos(x + n pi/2) for n = 0 .. 3, with x = phi/2
     trig, sign = ((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0))[order]
 
-    # dphi / sqrt(cos(phi) - cos(theta)) in t; G7-K15 never samples t = 0,
+    # dphi / sqrt(cos(phi) - cos(theta)) in t; G10-K21 never samples t = 0,
     # where it tends to 2 / sqrt(sin(theta)) dt
     def integrand(t: float) -> float:
         u = 0.5 * t * t  # (theta - phi) / 2

@@ -418,7 +418,7 @@ def test_no_command_path_loads_module(module, probe):
 
 
 def test_no_path_loads_scipy():
-    # quadrature is the package's own G7-K15 rule; the suite and the integral
+    # quadrature is the package's own G10-K21 rule; the suite and the integral
     # oracle are the only callers
     out = _probe_output(
         "import sys, legnu.cli; legnu.cli.main(['verify']); "

@@ -47,13 +47,13 @@ def test_pickle_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# adaptive_quad: the G7-K15 tables, the error bound, and non-convergence
+# adaptive_quad: the G10-K21 tables, the error bound, and non-convergence
 
 
 @pytest.mark.parametrize("weights, nodes, degree", [
-    (core._W15, core._X15, 22),
-    (core._W7, core._X15[1::2], 13),
-], ids=["kronrod15", "gauss7"])
+    (core._W21, core._X21, 31),
+    (core._W10, core._X21[1::2], 19),
+], ids=["kronrod21", "gauss10"])
 def test_rule_integrates_polynomials_exactly(weights, nodes, degree):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
@@ -134,7 +134,7 @@ def test_subinterval_cap_is_reported_not_raised():
     r = adaptive_quad(f, 0.0, 1.0, 1e-12)
     assert not r.converged
     # one rule on [0, 1], then two per bisection until the cap
-    assert len(calls) == 15 * (2 * core.QUAD_SUBINTERVAL_CAP - 1)
+    assert len(calls) == len(core._X21) * (2 * core.QUAD_SUBINTERVAL_CAP - 1)
     assert abs(r.value - (1.0 - math.cos(1e5)) / 1e5) <= r.abs_err_est
 
 
@@ -142,15 +142,18 @@ def test_subinterval_cap_is_reported_not_raised():
     (lambda: adaptive_quad(math.sin, 0.0, 1.0, 1e-300), 1.0 - math.cos(1.0)),
     (lambda: dilog_integral_oracle(0.5, 1e-16), math.pi**2 / 12 - math.log(2.0) ** 2 / 2),
 ], ids=["sin", "oracle"])
-def test_tolerance_below_the_rounding_floor_stops_early(quad, exact, monkeypatch):
-    rules = []
-    gk15 = core._gk15
-    monkeypatch.setattr(core, "_gk15", lambda *args: rules.append(args) or gk15(*args))
+def test_tolerance_below_the_rounding_floor_stops_early(quad, exact, rules):
     r = quad()
     assert not r.converged
     # halving stops once every estimate is at its 50 EPS resabs floor
     assert len(rules) < 200
     assert abs(r.value - exact) <= r.abs_err_est
+
+
+@pytest.mark.parametrize("x", [0.5, 0.9, 0.98, 0.99, 0.999])
+def test_integral_oracle_takes_one_rule(x, rules):
+    assert dilog_integral_oracle(x, 1e-12).converged
+    assert len(rules) == 1
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-14, 3e-15, 1e-15])

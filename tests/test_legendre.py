@@ -248,6 +248,15 @@ def test_oracle_converges_near_minus_one(z, order):
     assert abs(o.value - d) <= 1e-13 * max(1.0, abs(d))
 
 
+def test_oracle_rule_applications(rules):
+    # one 21-point rule mostly reaches the tolerance on this smooth
+    # integrand: 571 rules for these 543 calls (G7-K15 needed 2,235)
+    for i in range(181):
+        for order in (1, 2, 3):
+            assert nu_derivative_oracle(-0.9 + 0.01 * i, order).converged
+    assert len(rules) <= 600
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_oracle_passes_on_a_nonconverged_quadrature(monkeypatch, order):
     quad = legendre.adaptive_quad

@@ -136,6 +136,41 @@ def test_legendre_p_converged_and_within_estimate():
     assert not misses, f"{len(misses)} misses, first {misses[0]}"
 
 
+#: Relative accuracy of legendre_p on [-0.9, 1], relative to max(1, |P|);
+#: the worst measured error is 1.65e-13, at nu = -0.37, z = -0.9.
+P_REL = 2.5e-13
+P_REL_NU = [5.0, -5.0, 4.9, 3.3, 2.7, 2.5, 1.5, 0.5, 0.01, -0.37, -2.6, -4.2]
+
+
+def _legendre_p_misses(nu: float, zs) -> list:
+    """The points of ``zs`` where legendre_p(nu, z) is unconverged, outside
+    its estimate or outside P_REL * max(1, |P|) of mpmath."""
+    misses = []
+    with mp.workdps(30):
+        for z in zs:
+            r = legendre_p(nu, z)
+            ref = mp.legenp(mp.mpf(nu), 0, mp.mpf(z), type=2)
+            err = float(abs(mp.mpf(r.value) - ref))
+            if not (r.converged and err <= r.abs_err_est
+                    and err <= P_REL * max(1.0, float(abs(ref)))):
+                misses.append((z, err, r))
+    return misses
+
+
+@pytest.mark.parametrize("nu", P_REL_NU)
+def test_legendre_p_meets_relative_contract(nu):
+    misses = _legendre_p_misses(nu, [-0.9 + 0.01 * i for i in range(191)])
+    assert not misses, f"{len(misses)} misses, first {misses[0]}"
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: rounding piles up over the tens of "
+                   "thousands of terms the direct series sums near z = -1")
+@pytest.mark.parametrize("z", [-0.999, -0.9996])
+def test_legendre_p_meets_relative_contract_near_minus_one(z):
+    # errors of 1.9e-11 and 4.8e-11 relative to max(1, |P|)
+    assert not _legendre_p_misses(2.5, [z])
+
+
 @pytest.mark.parametrize("z", [-0.9999, -0.99999])
 def test_legendre_p_nonconverged_estimate_bounds_error(z):
     # the last term summed (2.1e-8 and 1.9e-6) was once reported as the estimate,
