@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import namedtuple
+from functools import partial
 from operator import mul
 from typing import Callable
 
@@ -51,6 +52,11 @@ class EvalResult(namedtuple("EvalResult", ("value", "abs_err_est", "converged"))
     """
 
     __slots__ = ()
+
+
+#: ``_result((value, abs_err_est, converged))``: the `EvalResult`, made in C
+#: without the named tuple's Python-level ``__new__``; the hot kernels use it.
+_result = partial(tuple.__new__, EvalResult)
 
 
 # QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule on

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .core import EPS, DomainError, EvalResult, _check_tolerance, adaptive_quad
-from .polylog import _LI2_ODD, ZETA3, _horner, dilog, trilog
+from .polylog import _LI2_ODD, ZETA3, _compile_horner, dilog, trilog
 
 __all__ = [
     "legendre_p",
@@ -45,6 +45,7 @@ ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
 # the coefficient of s^(2k+4)
 _LI2_INTEGRAL = tuple(c / (2 * k + 4) for k, c in enumerate(_LI2_ODD))
+_li2_integral = _compile_horner(_LI2_INTEGRAL)
 
 
 def _check_argument(z: float) -> float:
@@ -189,7 +190,7 @@ def d3p_dnu3_0(z: float) -> float:
     z = _check_argument(z)
     if z > 0.5:
         s = -math.log1p(-0.5 * (1.0 - z))
-        return s * s * (3.0 - s * (0.5 - 6.0 * s * _horner(s * s, _LI2_INTEGRAL))) + 0.0
+        return s * s * (3.0 - s * (0.5 - 6.0 * s * _li2_integral(s * s))) + 0.0
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
     return (

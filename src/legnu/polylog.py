@@ -6,13 +6,17 @@ no reflection or Landen step: at or below x = 1/2 the Bernoulli series in
 t = -ln(1-x), above it the expansion about x = 1 in mu = ln(x).  Both
 variables stay within ln 2 in size, where at most 20 terms reach full
 binary64 precision.
+
+Each table is compiled once, at import, into one Horner expression of its
+floats' reprs (as `namedtuple` writes its methods), bit for bit the loop over
+it; results skip the named tuple's Python-level ``__new__`` via `core._result`.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult, adaptive_quad
+from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
 
 __all__ = ["dilog", "trilog", "zeta3", "dilog_integral_oracle", "PI2_OVER_6", "ZETA3"]
 
@@ -21,6 +25,16 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 
 #: Apery's constant, the trilogarithm at 1 (zeta(3) = 1.2020569031595942854...).
 ZETA3 = 1.2020569031595942854
+
+
+def _compile_horner(coeffs: tuple[float, ...]):
+    """y -> sum c_k y^k by Horner's rule from the top term, as one expression
+    of the floats' reprs, which round-trip: bit for bit the loop."""
+    body = repr(coeffs[-1])
+    for c in coeffs[-2::-1]:
+        body = f"({body}) * y + {c!r}"
+    return eval(f"lambda y: {body}", {})
+
 
 #: Li2(x) = t - t^2/4 + sum_k B_(2k+2) t^(2k+3) / (2k+3)! with t = -ln(1-x)
 #: ('t Hooft & Veltman 1979; DLMF 25.12): the odd Bernoulli numbers past B_1
@@ -57,6 +71,8 @@ _LI3_NEAR1 = (
     1.1482216343327454e-09, -1.5815724990809165e-11, 2.4195009792525154e-13,
     -3.982897776989488e-15,
 )
+_li2_odd, _li3, _li2_near1, _li3_near1 = map(_compile_horner,
+                                             (_LI2_ODD, _LI3, _LI2_NEAR1, _LI3_NEAR1))
 
 # Error bounds, with EPS one ulp of 1.  At or below 1/2, 0 <= t <= ln 2 and
 # sum_n |c_n| (ln 2)^n <= 1.31 over the coefficient c_n of t^(n+1) in either
@@ -76,15 +92,7 @@ def _check_unit_interval(x: float) -> float:
     x = float(x)
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"polylogarithm argument must lie in [0, 1], got {x}")
-    return x
-
-
-def _horner(y: float, coeffs: tuple[float, ...]) -> float:
-    """Sum c_k y^k over a coefficient table by Horner's rule."""
-    total = 0.0
-    for c in reversed(coeffs):
-        total = total * y + c
-    return total
+    return x + 0.0  # -0.0 becomes +0.0: Li(0) is exactly 0
 
 
 def dilog(x: float) -> EvalResult:
@@ -118,15 +126,15 @@ def dilog(x: float) -> EvalResult:
     x = _check_unit_interval(x)
     if x <= 0.5:
         t = -math.log1p(-x)
-        value = t * (1.0 - t * (0.25 - t * _horner(t * t, _LI2_ODD)))
-        return EvalResult(value, _BELOW_HALF_ERR * t, True)
+        value = t * (1.0 - t * (0.25 - t * _li2_odd(t * t)))
+        return _result((value, _BELOW_HALF_ERR * t, True))
     if x == 1.0:
-        return EvalResult(PI2_OVER_6, EPS * PI2_OVER_6, True)
+        return _result((PI2_OVER_6, EPS * PI2_OVER_6, True))
     mu = math.log(x)
     value = PI2_OVER_6 + mu * (
-        1.0 - math.log(-mu) - mu * (0.25 - mu * _horner(mu * mu, _LI2_NEAR1))
+        1.0 - math.log(-mu) - mu * (0.25 - mu * _li2_near1(mu * mu))
     )
-    return EvalResult(value, _ABOVE_HALF_ERR, True)
+    return _result((value, _ABOVE_HALF_ERR, True))
 
 
 def trilog(x: float) -> EvalResult:
@@ -145,14 +153,14 @@ def trilog(x: float) -> EvalResult:
     x = _check_unit_interval(x)
     if x <= 0.5:
         t = -math.log1p(-x)
-        return EvalResult(t * _horner(t, _LI3), _BELOW_HALF_ERR * t, True)
+        return _result((t * _li3(t), _BELOW_HALF_ERR * t, True))
     if x == 1.0:
-        return EvalResult(ZETA3, EPS * ZETA3, True)
+        return _result((ZETA3, EPS * ZETA3, True))
     mu = math.log(x)
     value = ZETA3 + mu * (PI2_OVER_6 + mu * (
-        0.75 - 0.5 * math.log(-mu) - mu * (1.0 / 12.0 - mu * _horner(mu * mu, _LI3_NEAR1))
+        0.75 - 0.5 * math.log(-mu) - mu * (1.0 / 12.0 - mu * _li3_near1(mu * mu))
     ))
-    return EvalResult(value, _ABOVE_HALF_ERR, True)
+    return _result((value, _ABOVE_HALF_ERR, True))
 
 
 def zeta3() -> float:

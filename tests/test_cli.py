@@ -393,12 +393,14 @@ _PROBES = {
 }
 
 
-def _fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a fresh interpreter that imports legnu from src."""
+def _fresh(*args: str, env: dict | None = None, text: bool = True) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports legnu from src,
+    with ``env`` added to its environment; output as str or, if not ``text``,
+    as bytes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env={**os.environ, **(env or {}), "PYTHONPATH": path})
 
 
 def _probe_output(code: str) -> str:
@@ -426,6 +428,18 @@ def test_no_path_loads_scipy():
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", [["tabulate", "--what", "p,d1,d2,d3,maclaurin"],
+                                     ["verify", "--format", "json"]])
+def test_output_is_byte_identical_across_interpreters(command):
+    # two interpreters with different string hashing, each compiling the
+    # kernels' series tables afresh at import
+    runs = [_fresh("-m", "legnu.cli", *command, env={"PYTHONHASHSEED": seed}, text=False)
+            for seed in ("0", "1")]
+    for run in runs:
+        run.check_returncode()
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 def test_infinite_grid_end_is_one_error_line():

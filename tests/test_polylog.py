@@ -13,14 +13,18 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import spence
 
-from legnu.core import DomainError, adaptive_quad
-from legnu.legendre import _LI2_INTEGRAL
+from legnu.core import DomainError, EvalResult, adaptive_quad
+from legnu.legendre import _LI2_INTEGRAL, _li2_integral
 from legnu.polylog import (
     _LI2_NEAR1,
     _LI2_ODD,
     _LI3,
     _LI3_NEAR1,
     PI2_OVER_6,
+    _li2_near1,
+    _li2_odd,
+    _li3,
+    _li3_near1,
     ZETA3,
     dilog,
     dilog_integral_oracle,
@@ -237,3 +241,64 @@ def test_series_tables_match_exact_definitions():
         weights = [abs(c) * ln2 ** (p - rel) for c, p in terms]
         assert sum(weights) <= bound
         assert sum(weights[len(head) + len(table):]) < 1e-19
+
+
+def _loop_horner(y: float, coeffs: tuple[float, ...]) -> float:
+    """Sum c_k y^k over a coefficient table by Horner's rule, one term per
+    pass: the reference the compiled evaluators must equal bit for bit."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * y + c
+    return total
+
+
+LN2 = math.log(2.0)
+# each compiled evaluator, its table, and the largest argument its caller passes:
+# t^2 or t for t = -ln(1-x) <= ln 2, mu^2 for mu = ln(x) >= -ln 2, and S^2 for
+# d3's first integral, S = -ln(1-w) <= ln(4/3)
+COMPILED = {
+    "li2_odd": (_li2_odd, _LI2_ODD, LN2 * LN2),
+    "li3": (_li3, _LI3, LN2),
+    "li2_near1": (_li2_near1, _LI2_NEAR1, LN2 * LN2),
+    "li3_near1": (_li3_near1, _LI3_NEAR1, LN2 * LN2),
+    "li2_integral": (_li2_integral, _LI2_INTEGRAL, math.log(4.0 / 3.0) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", list(COMPILED))
+def test_compiled_horner_equals_loop_bit_for_bit(name):
+    compiled, table, top = COMPILED[name]
+    ys = [top * k / 10_000 for k in range(10_001)]
+    ys += [0.0, 5e-324, math.ulp(top), math.nextafter(top, 0.0), top, math.nextafter(top, 1.0)]
+    ys += [math.nextafter(y, 1.0) for y in ys[1:10_000:7]]
+    diff = [y for y in ys if compiled(y).hex() != _loop_horner(y, table).hex()]
+    assert not diff, f"{name}: {len(diff)} of {len(ys)} differ, first at y = {diff[0]!r}"
+
+
+# one point per branch: zero, the t-series, its last point, the expansion about
+# 1 just above 1/2 and further in, and the stored constant at 1
+BRANCH_POINTS = [0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.9, 1.0]
+
+
+@pytest.mark.parametrize("func", [dilog, trilog])
+@pytest.mark.parametrize("x", BRANCH_POINTS)
+def test_kernels_return_exactly_eval_result(func, x):
+    r = func(x)
+    assert type(r) is EvalResult
+    plain = tuple(r)
+    assert r == plain and plain == r and len(r) == 3
+    assert r == EvalResult(*plain)
+    assert repr(r) == repr(EvalResult(*plain)) == (
+        f"EvalResult(value={r.value!r}, abs_err_est={r.abs_err_est!r}, converged=True)")
+    assert r._asdict() == {"value": r.value, "abs_err_est": r.abs_err_est, "converged": True}
+    assert type(r.value) is float and type(r.abs_err_est) is float and r.converged is True
+
+
+@pytest.mark.parametrize("func", [dilog, trilog])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_signed_zero_gives_positive_zero(func, zero):
+    # -0.0 once came back as value -0.0 with a negative estimate, -0.0
+    r = func(zero)
+    assert r == (0.0, 0.0, True)
+    assert math.copysign(1.0, r.value) == 1.0
+    assert math.copysign(1.0, r.abs_err_est) == 1.0

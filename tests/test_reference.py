@@ -4,9 +4,11 @@ Every reference value comes from mpmath, evaluated at the exact binary64
 inputs through the defining formulas, never through the package's own
 reductions or series: 50 significant digits for the closed forms, whose
 mpmath form cancels near z = 1, and 30 elsewhere.  Each is computed once.  The
-domain is z in [-0.99, 1] plus the boundary layers 1 +- z = 10^-k, k = 1..12;
-closer to z = -1, where the Legendre series does not converge, only its
-error estimate is checked.
+domain is z in [-0.99, 1] plus the boundary layers 1 +- z = 10^-k, k = 1..12.
+Closer to z = -1 the Legendre series needs tens of thousands of terms on
+[-0.9996, -0.995] and stops unconverged further in; there only its error
+estimate is checked: a bound on the error where it converged, infinite where
+it did not.
 """
 
 import math
@@ -169,6 +171,22 @@ def test_legendre_p_meets_relative_contract(nu):
 def test_legendre_p_meets_relative_contract_near_minus_one(z):
     # errors of 1.9e-11 and 4.8e-11 relative to max(1, |P|)
     assert not _legendre_p_misses(2.5, [z])
+
+
+def test_legendre_p_estimate_bounds_error_below_minus_0_99():
+    # the series' slow band: 15 of these 16 points converge, nu = -4.2 at
+    # z = -0.9996 reaches the term cap
+    converged, misses = 0, []
+    with mp.workdps(30):
+        for nu in (0.5, 2.5, -4.2, 4.5):
+            for z in (-0.995, -0.999, -0.9995, -0.9996):
+                r = legendre_p(nu, z)
+                err = float(abs(mp.mpf(r.value) - mp.legenp(mp.mpf(nu), 0, mp.mpf(z), type=2)))
+                converged += r.converged
+                if not (err <= r.abs_err_est if r.converged else r.abs_err_est == math.inf):
+                    misses.append((nu, z, err, r))
+    assert not misses, f"{len(misses)} misses, first {misses[0]}"
+    assert converged >= 15
 
 
 @pytest.mark.parametrize("z", [-0.9999, -0.99999])
