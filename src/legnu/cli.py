@@ -152,18 +152,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for item in args.tol or []:
         name, sep, raw = item.partition("=")
         if not sep or not name:
-            print(f"error: --tol expects IDENTITY=VALUE, got {item!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError(f"--tol expects IDENTITY=VALUE, got {item!r}")
         try:
             overrides[name] = float(raw)
         except ValueError:
-            print(f"error: bad tolerance value in {item!r}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        reports = run_all(overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise DomainError(f"bad tolerance value in {item!r}") from None
+    reports = run_all(overrides)
 
     if args.format == "pretty":
         for line in report_lines(reports):

@@ -38,10 +38,6 @@ DEGREE_ENVELOPE = 5.0
 #: fails, 4e-4 converges).
 MAX_TERMS = 100_000
 
-#: Accuracy contract of the oracle per derivative order: results whose
-#: quadrature error estimate exceeds these are flagged as non-converged.
-ORACLE_ERR_CAP = {1: 1e-8, 2: 1e-7, 3: 1e-5}
-
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
 # the coefficient of s^(2k+4)
 _LI2_INTEGRAL = tuple(c / (2 * k + 4) for k, c in enumerate(_LI2_ODD))
@@ -273,17 +269,14 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     Returns
     -------
     EvalResult
-        abs_err_est is the quadrature's estimate, asked of it to
-        1e-12 max(1, theta^n) (the n = 0 integral is P_0 = 1, so
-        |d_n| <= theta^n); converged is False when the quadrature did not
-        converge or the estimate exceeds the order's accuracy cap
-        (`ORACLE_ERR_CAP`).  At z = 1 the interval is empty and the value
-        exactly 0.
+        abs_err_est is sqrt(2)/pi times the quadrature's estimate, asked of
+        it to 1e-12 max(1, theta^n) (the n = 0 integral is P_0 = 1, so
+        |d_n| <= theta^n); converged is the quadrature's flag.  At z = 1
+        the interval is empty: the result is exactly (0.0, 0.0, True).
     """
     z = _check_argument(z)
-    if type(order) is not int or order not in ORACLE_ERR_CAP:
-        raise DomainError(f"oracle derivative order must be an int in {tuple(ORACLE_ERR_CAP)}, "
-                          f"got {order!r}")
+    if type(order) is not int or order not in (1, 2, 3):
+        raise DomainError(f"oracle derivative order must be an int in (1, 2, 3), got {order!r}")
     if z >= 0.0:
         theta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - z)))
         sin_half_sum = lambda u: math.sin(theta - u)  # sin((phi + theta) / 2)
@@ -304,5 +297,4 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
 
     q = adaptive_quad(integrand, 0.0, math.sqrt(theta), 1e-12 * max(1.0, theta**order))
     scale = math.sqrt(2.0) / math.pi
-    est = scale * q.abs_err_est
-    return EvalResult(scale * q.value, est, q.converged and est <= ORACLE_ERR_CAP[order])
+    return EvalResult(scale * q.value, scale * q.abs_err_est, q.converged)

@@ -182,13 +182,16 @@ def dilog_integral_oracle(x: float, tol: float) -> EvalResult:
     x : float
         Upper integration limit in [0, 1).
     tol : float
-        Absolute quadrature tolerance, > 0.
+        Absolute quadrature tolerance, positive and finite, else `DomainError`.
+
+    Returns
+    -------
+    EvalResult
+        `adaptive_quad`'s result; exactly (0.0, 0.0, True) at x = +-0.0.
     """
     x = float(x)
     if not (0.0 <= x < 1.0):
         raise DomainError(f"integral oracle requires x in [0, 1), got {x}")
-    if x == 0.0:
-        return EvalResult(0.0, 0.0, True)
 
     def integrand(s: float) -> float:
         if s == 0.0:

@@ -264,8 +264,6 @@ _QUAD_TOL_FRACTION = 0.01
 
 def _li2_antideriv(t: float) -> float:
     """Antiderivative of Li2:  t Li2(t) + (t-1) ln(1-t) - t  (0 at t = 0)."""
-    if t == 0.0:
-        return 0.0
     return t * dilog(t).value + (t - 1.0) * math.log1p(-t) - t
 
 
@@ -291,11 +289,10 @@ def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> 
     """|quadrature - antiderivative difference| on [a, b] in [0, 0.999]; a
     failed quadrature is scored at 10x tolerance so it can never pass
     silently."""
+    _check_tolerance("antiderivative", tol)
     for t in (a, b):
         if not (0.0 <= t <= 0.999):
             raise DomainError(f"integration endpoints must lie in [0, 0.999], got {t}")
-    if a == b:
-        return 0.0
     q = adaptive_quad(integrand, a, b, max(1e-13, _QUAD_TOL_FRACTION * tol))
     resid = abs(q.value - (antideriv(b) - antideriv(a)))
     if not q.converged:
@@ -304,7 +301,8 @@ def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> 
 
 
 def dilog_antiderivative_residual(a: float, b: float, tol: float = 1e-10) -> float:
-    """Quadrature-vs-antiderivative residual for Li2 on [a, b] in [0, 0.999]."""
+    """Quadrature-vs-antiderivative residual for Li2 on [a, b] in [0, 0.999]:
+    exactly 0.0 if a == b; `DomainError` unless ``tol`` is positive and finite."""
     return _quad_vs_antideriv(lambda t: dilog(t).value, _li2_antideriv, a, b, tol)
 
 
@@ -312,14 +310,15 @@ def li2_ratio_antiderivative_residual(a: float, b: float, tol: float = 1e-9,
                                       form: str = "reduced") -> float:
     """Quadrature-vs-antiderivative residual for Li2(t)/(1-t) on [a, b].
 
-    ``form`` selects the reduced antiderivative or the log form; the log
-    form additionally needs a > 0.  Endpoints above 0.999 are rejected
-    (the antiderivative's logarithms degrade there).
+    ``form`` selects the reduced antiderivative or the log form, which also
+    needs both endpoints > 0.  Endpoints above 0.999 are rejected (the
+    antiderivative's logarithms degrade there); ``tol`` and a == b are as
+    for `dilog_antiderivative_residual`.
     """
     if form not in ("reduced", "log"):
         raise DomainError(f"unknown antiderivative form {form!r}")
-    if form == "log" and a <= 0.0:
-        raise DomainError("log-form antiderivative requires a > 0")
+    if form == "log" and not (a > 0.0 and b > 0.0):
+        raise DomainError(f"log-form antiderivative requires endpoints > 0, got [{a}, {b}]")
     return _quad_vs_antideriv(
         lambda t: dilog(t).value / (1.0 - t),
         lambda t: _li2_ratio_antideriv(t, form),
@@ -369,9 +368,9 @@ def _resolve_tolerances(tolerances: Mapping[str, float] | None) -> dict[str, flo
     for key, value in (tolerances or {}).items():
         matches = [key] if key in resolved else [n for n in IDENTITY_IDS if n.startswith(key)]
         if len(matches) > 1:
-            raise ValueError(f"ambiguous identity prefix {key!r}: matches {', '.join(matches)}")
+            raise DomainError(f"ambiguous identity prefix {key!r}: matches {', '.join(matches)}")
         if not matches:
-            raise ValueError(
+            raise DomainError(
                 f"unknown identity {key!r}; expected one of {', '.join(IDENTITY_IDS)} "
                 f"or a unique prefix"
             )
@@ -386,8 +385,9 @@ def run_all(tolerances: Mapping[str, float] | None = None) -> list[IdentityRepor
     ``tolerances`` overrides per-identity tolerances by id or unique id
     prefix (e.g. ``{"euler": 1e-13}``); anything not named keeps its
     default.  Always returns one report per identity, in `IDENTITY_IDS`
-    order; a failed identity never aborts the rest.  An unknown name or a
-    tolerance that is not positive and finite raises before any check runs.
+    order; a failed identity never aborts the rest.  An unknown or ambiguous
+    name, or a tolerance not positive and finite, raises `DomainError`
+    before any check runs.
     """
     tols = _resolve_tolerances(tolerances)
     return [check(tols[name]) for name, (_, check) in _SUITE.items()]

@@ -450,6 +450,21 @@ def test_infinite_grid_end_is_one_error_line():
                                        "apart, got [-0.9, inf]"]
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("euler", "--tol expects IDENTITY=VALUE, got 'euler'"),
+    ("euler=abc", "bad tolerance value in 'euler=abc'"),
+    ("sphere=1e-6", "unknown identity 'sphere'; expected one of ode_base, ode_deriv2, "
+                    "ode_deriv3, euler_reflection, dilog_antiderivative, li2_over_1mz_integral "
+                    "or a unique prefix"),
+    ("ode=1e-6", "ambiguous identity prefix 'ode': matches ode_base, ode_deriv2, ode_deriv3"),
+])
+def test_bad_verify_tolerance_is_one_error_line(tol, message):
+    # every usage error reaches main's one DomainError handler: exit 2, no traceback
+    run = _fresh("-m", "legnu.cli", "verify", "--tol", tol)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.splitlines() == [f"error: {message}"]
+
+
 def test_huge_finite_grid_span_is_one_error_line():
     # a finite span whose last step passes the float range: the grid must not
     # warn, so the argument check's error is all that is printed

@@ -11,7 +11,6 @@ from scipy.special import lpmv
 from legnu import legendre
 from legnu.core import DomainError
 from legnu.legendre import (
-    ORACLE_ERR_CAP,
     d2p_dnu2_0,
     d3p_dnu3_0,
     dp_dnu0,
@@ -204,11 +203,12 @@ def test_maclaurin_fourth_order_convergence():
 
 
 def test_oracle_boundary_and_validation():
-    o = nu_derivative_oracle(1.0, 2)
-    assert abs(o.value) <= 1e-8
-    assert o.converged
+    # z = 1 is the empty interval: adaptive_quad's exact zero, scaled
+    for order in (1, 2, 3):
+        assert nu_derivative_oracle(1.0, order) == (0.0, 0.0, True)
     for order in (0, 4):
-        with pytest.raises(DomainError, match=r"int in \(1, 2, 3\)"):
+        with pytest.raises(DomainError, match=r"^oracle derivative order must be an int in "
+                                              rf"\(1, 2, 3\), got {order}$"):
             nu_derivative_oracle(0.5, order)
 
 
@@ -257,19 +257,31 @@ def test_oracle_rule_applications(rules):
     assert len(rules) <= 600
 
 
+def _oracle_estimate_bound(z: float, order: int) -> float:
+    """sqrt(2)/pi times the tolerance the oracle asks of its quadrature."""
+    return math.sqrt(2.0) / math.pi * 1e-12 * max(1.0, math.acos(z) ** order)
+
+
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_oracle_passes_on_a_nonconverged_quadrature(monkeypatch, order):
     quad = legendre.adaptive_quad
     monkeypatch.setattr(legendre, "adaptive_quad",
                         lambda *args: quad(*args)._replace(converged=False))
     o = nu_derivative_oracle(-0.5, order)
-    assert not o.converged
-    assert o.abs_err_est <= ORACLE_ERR_CAP[order]  # the flag alone carries it
+    assert not o.converged  # the flag alone carries it
+    assert o.abs_err_est <= _oracle_estimate_bound(-0.5, order)
 
 
-def test_oracle_error_estimates_within_caps():
-    for z in np.linspace(-0.9, 1.0, 10):
+ORACLE_Z_GRID = ([float(z) for z in np.linspace(-0.99, 1.0, 40)]
+                 + [1.0 - 10.0**-k for k in range(1, 13)]
+                 + [-1.0 + 10.0**-k for k in range(1, 13)])
+
+
+def test_oracle_error_estimates_within_the_quadrature_tolerance():
+    # converged is the quadrature's flag, so a converged estimate is within
+    # the tolerance asked of it; no cap per order stands in for that rule
+    for z in ORACLE_Z_GRID:
         for order in (1, 2, 3):
-            o = nu_derivative_oracle(float(z), order)
+            o = nu_derivative_oracle(z, order)
             assert o.converged
-            assert o.abs_err_est <= ORACLE_ERR_CAP[order]
+            assert o.abs_err_est <= _oracle_estimate_bound(z, order), (z, order)

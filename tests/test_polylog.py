@@ -157,9 +157,11 @@ def test_error_estimates_honour_contract():
 
 
 def test_integral_oracle_at_zero():
-    r = dilog_integral_oracle(0.0, 1e-12)
-    assert r.value == 0.0
-    assert r.converged
+    # the empty interval: adaptive_quad's exact zero, with a +0.0 value
+    for x in (0.0, -0.0):
+        r = dilog_integral_oracle(x, 1e-12)
+        assert r == (0.0, 0.0, True)
+        assert math.copysign(1.0, r.value) == 1.0
 
 
 @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
@@ -184,8 +186,9 @@ def test_quadrature_tolerance_must_be_positive_and_finite(tol):
     msg = "^quadrature tolerance must be positive and finite, got "
     with pytest.raises(DomainError, match=msg):
         adaptive_quad(math.exp, 0.0, 1.0, tol)
-    with pytest.raises(DomainError, match=msg):
-        dilog_integral_oracle(0.5, tol)
+    for x in (0.5, 0.0):  # the empty interval at x = 0 checks it too
+        with pytest.raises(DomainError, match=msg):
+            dilog_integral_oracle(x, tol)
 
 
 def _bernoulli(n: int) -> list[Fraction]:

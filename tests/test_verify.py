@@ -364,10 +364,21 @@ class TestIntegralIdentities:
     def test_interval_residuals(self):
         assert dilog_antiderivative_residual(0.0, 0.0) == 0.0
         assert li2_ratio_antiderivative_residual(0.3, 0.3) == 0.0
+        assert li2_ratio_antiderivative_residual(0.5, 0.5, 1e-8, form="log") == 0.0
         assert dilog_antiderivative_residual(0.0, 0.5) <= 1e-10
         assert dilog_antiderivative_residual(0.2, 0.9) <= 1e-10
         assert li2_ratio_antiderivative_residual(0.1, 0.5) <= 1e-9
         assert li2_ratio_antiderivative_residual(0.3, 0.9) <= 1e-9
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("a, b", [(0.2, 0.5), (0.3, 0.3)])
+    def test_tolerance_must_be_positive_and_finite(self, a, b, tol):
+        msg = "^antiderivative tolerance must be positive and finite, got "
+        with pytest.raises(DomainError, match=msg):
+            dilog_antiderivative_residual(a, b, tol)
+        for form in ("reduced", "log"):
+            with pytest.raises(DomainError, match=msg):
+                li2_ratio_antiderivative_residual(a, b, tol, form=form)
 
     def test_log_form_spots(self):
         for a, b in ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75)):
@@ -380,6 +391,8 @@ class TestIntegralIdentities:
             li2_ratio_antiderivative_residual(0.1, 0.9991)
         with pytest.raises(DomainError):
             li2_ratio_antiderivative_residual(0.0, 0.5, form="log")
+        with pytest.raises(DomainError, match="^log-form antiderivative requires endpoints > 0"):
+            li2_ratio_antiderivative_residual(0.5, 0.0, form="log")  # not log(0)'s ValueError
         with pytest.raises(DomainError):
             check_li2_over_1mz_integral(GridSpec(0.1, 0.9999, 5))
 
@@ -450,11 +463,14 @@ class TestRunAll:
         assert sum(not r.passed for r in reports) == 1
 
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="^unknown identity 'spherical'; expected one of "):
+        unknown = "^unknown identity 'spherical'; expected one of "
+        with pytest.raises(ValueError, match=unknown) as exc:
             run_all({"spherical": 1e-6})
+        assert exc.type is DomainError  # so the CLI's one handler reports it
         with pytest.raises(ValueError, match="^ambiguous identity prefix 'ode': matches "
-                                             "ode_base, ode_deriv2, ode_deriv3$"):
+                                             "ode_base, ode_deriv2, ode_deriv3$") as exc:
             run_all({"ode": 1e-6})
+        assert exc.type is DomainError
 
     def test_deterministic(self):
         assert run_all() == run_all()
