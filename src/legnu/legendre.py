@@ -33,7 +33,7 @@ __all__ = [
 #: Largest |degree| accepted by the series evaluator.
 DEGREE_ENVELOPE = 5.0
 
-#: Series term cap per argument, in `legendre_p` and in `_p_series` alike; at
+#: Series term cap per argument, in `_p_series` (and so in `legendre_p`); at
 #: the default tolerance it is reached for 1 + z below about 4e-4 (3e-4
 #: fails, 4e-4 converges).
 MAX_TERMS = 100_000
@@ -58,24 +58,12 @@ def _check_degree(nu: float) -> float:
     return nu
 
 
-def _converged(total: float, abs_total: float, term: float, u: float, k: int) -> EvalResult:
-    """The series result once terms k - 1 and k both fell below the tolerance:
-    the tail is geometric-ish with ratio u, plus a rounding allowance that
-    grows with the summation length."""
-    tail = abs(term) * u / (1.0 - u)
-    return EvalResult(total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True)
-
-
 def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
     """Legendre function of the first kind, P_nu(z), for real degree.
 
-    Sums c_k u^k with u = (1-z)/2, c_0 = 1 and
-    c_{k+1} = c_k (k - nu)(k + nu + 1) / (k + 1)^2, stopping once two
-    consecutive terms fall below ``tol`` relative to the partial sum.
-    For integer degree the series terminates and the usual polynomials
-    are recovered exactly; P_nu(1) = 1 for every degree.  The recurrence
-    runs fused into the sum, with no table; `_p_series` gives the same
-    results bit for bit for many arguments, from one coefficient table.
+    The one-argument `_p_series`, which documents the series.  For integer
+    degree the series terminates and the usual polynomials are recovered
+    exactly; P_nu(1) = 1 for every degree.
 
     Parameters
     ----------
@@ -93,55 +81,50 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
         tolerance, for 1 + z below about 4e-4); the value is then the
         partial sum, with no error bound: abs_err_est is inf.
     """
-    nu = _check_degree(nu)
-    z = _check_argument(z)
-    _check_tolerance("series", tol)
-    u = 0.5 * (1.0 - z)
-    total = 1.0
-    abs_total = 1.0
-    coeff = 1.0
-    upow = 1.0
-    last_small = -2
-    for k in range(MAX_TERMS):
-        coeff *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
-        upow *= u
-        term = coeff * upow
-        total += term
-        abs_total += abs(term)
-        if abs(term) <= tol * abs(total):
-            if last_small == k - 1:
-                return _converged(total, abs_total, term, u, k)
-            last_small = k
-    return EvalResult(total, math.inf, False)
+    return _p_series(nu, (z,), tol)[0]
 
 
 def _p_series(nu: float, zs, tol: float) -> list[EvalResult]:
-    """``[legendre_p(nu, z, tol) for z in zs]``, equal bit for bit, with the
-    coefficients c_1, c_2, ... computed once: the first sums fill a table
-    that later sums read, extending it when they need more terms.  The
-    table lives for this call only."""
+    """P_nu(z) for each z in ``zs``, as in `legendre_p`.
+
+    Sums c_k u^k with u = (1-z)/2, c_0 = 1 and
+    c_{k+1} = c_k (k - nu)(k + nu + 1) / (k + 1)^2 (DLMF 15.2.1), stopping
+    once two consecutive terms fall below ``tol`` relative to the partial
+    sum, or at `MAX_TERMS` terms.  With more than one argument the
+    coefficients c_1, c_2, ... are computed once: the first sums fill a
+    table that later sums read, extending it when they need more terms.
+    One argument keeps no table, since its sum alone can run to the term
+    cap and no later sum would read it.  Each result is the same bit for
+    bit whichever arguments precede it."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
     _check_tolerance("series", tol)
+    keep = len(zs) > 1
     table: list[float] = []  # table[k] is c_(k+1)
     out = []
     for z in zs:
         u = 0.5 * (1.0 - z)
-        total = abs_total = upow = 1.0
+        total = abs_total = upow = coeff = 1.0
         last_small = -2
-        n = len(table)
+        n = len(table)  # c_1 .. c_n are read; later ones run the recurrence
         for k in range(MAX_TERMS):
-            if k == n:
-                table.append((table[-1] if k else 1.0)
-                             * ((k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))))
-                n += 1
+            if k < n:
+                coeff = table[k]
+            else:
+                coeff *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
+                if keep:
+                    table.append(coeff)
             upow *= u
-            term = table[k] * upow
+            term = coeff * upow
             total += term
             abs_total += abs(term)
             if abs(term) <= tol * abs(total):
                 if last_small == k - 1:
-                    out.append(_converged(total, abs_total, term, u, k))
+                    # the tail is geometric-ish with ratio u, plus a rounding
+                    # allowance that grows with the summation length
+                    tail = abs(term) * u / (1.0 - u)
+                    out.append(EvalResult(
+                        total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True))
                     break
                 last_small = k
         else:

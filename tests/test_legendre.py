@@ -2,6 +2,7 @@
 degree-derivatives, the degree expansion, and the quadrature oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,61 @@ def test_nonconvergence_is_flagged_near_minus_one():
     assert not r.converged
 
 
+def test_one_argument_keeps_no_coefficient_table():
+    # the call sums all MAX_TERMS terms; a kept table would peak near 3 MB
+    legendre_p(0.5, -0.9999)
+    tracemalloc.start()
+    try:
+        assert not legendre_p(0.5, -0.9999).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+# value and error estimate for z >= 0, bit for bit as the series gave them when
+# legendre_p and _p_series each had their own loop
+_P_BITS = [
+    (0.5, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (0.5, 0.999999999, "0x1.fffffffcc75dcp-1", "0x1.5db3d744f5a19p-51"),
+    (0.5, 0.9, "0x1.ec7dad97469f3p-1", "0x1.2115e3e111e93p-50"),
+    (0.5, 0.5, "0x1.972add69ad678p-1", "0x1.0441b0420cc8bp-49"),
+    (0.5, 0.3, "0x1.66e16a460abadp-1", "0x1.a0cf8e26afb58p-49"),
+    (0.5, 0.0, "0x1.1426062e3bb6bp-1", "0x1.2d3c764fb4d88p-48"),
+    (-0.37, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (-0.37, 0.999999999, "0x1.000000008025fp+0", "0x1.5db3d74371731p-51"),
+    (-0.37, 0.9, "0x1.0311e93415910p+0", "0x1.1980bd244ff64p-50"),
+    (-0.37, 0.5, "0x1.1172982c26dbbp+0", "0x1.ccc3384646570p-50"),
+    (-0.37, 0.3, "0x1.1a53cd971a166p+0", "0x1.679e57fd7c97ep-49"),
+    (-0.37, 0.0, "0x1.2aee3d0264b5fp+0", "0x1.72776abc8616ap-48"),
+    (2.5, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (2.5, 0.999999999, "0x1.ffffffda6b460p-1", "0x1.5db3d75c6d796p-51"),
+    (2.5, 0.9, "0x1.329bb63b473ffp-1", "0x1.a59ca07efa271p-50"),
+    (2.5, 0.5, "-0x1.5b56d77c57e14p-2", "0x1.8aff6c3363da0p-48"),
+    (2.5, 0.3, "-0x1.dac9f3e4ea7c1p-2", "0x1.47ea7074d3b2cp-47"),
+    (2.5, 0.0, "-0x1.4b60d4377ad8dp-2", "0x1.3801ebb3eb513p-46"),
+    (-4.2, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (-4.2, 0.999999999, "0x1.ffffffc646907p-1", "0x1.5db3d76a2f928p-51"),
+    (-4.2, 0.9, "0x1.ae39be218af30p-2", "0x1.fa783a3817f7cp-50"),
+    (-4.2, 0.5, "-0x1.c4b4042ae8dbap-2", "0x1.55b888913efe3p-47"),
+    (-4.2, 0.3, "-0x1.3d75dfd65de9ap-2", "0x1.33ef323bfca68p-46"),
+    (-4.2, 0.0, "0x1.055da447b0313p-3", "0x1.4b5cb2c46c51fp-45"),
+    (4.9, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (4.9, 0.999999999, "0x1.ffffff83d51eap-1", "0x1.5db3d797913d2p-51"),
+    (4.9, 0.9, "-0x1.25ffc67b4d5d8p-6", "0x1.b9b08ac30edeap-49"),
+    (4.9, 0.5, "0x1.b09c72e00f0c9p-5", "0x1.662cc921630eap-45"),
+    (4.9, 0.3, "0x1.5cf81207d7e68p-2", "0x1.a077d4df875d5p-44"),
+    (4.9, 0.0, "0x1.b71703b9e7075p-5", "0x1.3a61bb9e25dfdp-42"),
+]
+
+
+@pytest.mark.parametrize("nu, z, value, err", _P_BITS)
+def test_series_bits_are_pinned_for_nonnegative_arguments(nu, z, value, err):
+    r = legendre_p(nu, z)
+    assert r.converged
+    assert (r.value.hex(), r.abs_err_est.hex()) == (value, err)
+
+
 # arguments drawn partly from a short list, so that repeats occur; the examples
 # add -0.99999, where the term cap is reached and the estimate is infinite
 _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0.99, 1.0))
@@ -104,9 +160,11 @@ _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0
 @example(-4.0, [-0.7, -0.7, 0.1], 1e-14)
 @example(0.5, [-0.99999, -0.9, 1.0, -0.9], 1e-15)
 @example(-2.7, [0.3, -0.99999, 0.3], 1e-14)
+@example(2.5, [0.9, 0.3, -0.95, 0.5], 1e-15)
 def test_p_series_is_legendre_p_at_each_argument(nu, zs, tol):
-    # one coefficient table for all arguments gives the per-argument results
-    # bit for bit, the non-converged return at the term cap included
+    # a sum that reads the table built by earlier arguments, and extends it
+    # when it needs more terms, gives what the same sum alone (which keeps no
+    # table) gives, bit for bit, the non-converged return at the term cap included
     assert legendre._p_series(nu, zs, tol) == [legendre_p(nu, z, tol) for z in zs]
 
 
