@@ -66,8 +66,7 @@ def _print_csv(header: list[str], rows: list[list[str]]) -> None:
 
 
 def _print_pretty(header: list[str], rows: list[list[str]]) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
+    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())

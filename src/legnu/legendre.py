@@ -253,9 +253,11 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     -------
     EvalResult
         abs_err_est is sqrt(2)/pi times the quadrature's estimate, asked of
-        it to 1e-12 max(1, theta^n) (the n = 0 integral is P_0 = 1, so
-        |d_n| <= theta^n); converged is the quadrature's flag.  At z = 1
-        the interval is empty: the result is exactly (0.0, 0.0, True).
+        it to 1e-12 max(1, theta^n), a tolerance scale: since |cos| <= 1 and
+        the kernel is positive, |d_n| <= theta^n P_(-1/2)(z), not theta^n
+        alone (|d3(-0.99)| = 38.1 > theta^3 = 27.0); converged is the
+        quadrature's flag.  At z = 1 the interval is empty: the result is
+        exactly (0.0, 0.0, True).
     """
     z = _check_argument(z)
     if type(order) is not int or order not in (1, 2, 3):

@@ -260,6 +260,20 @@ def test_maclaurin_fourth_order_convergence():
     assert 12.0 <= ratio <= 20.0
 
 
+def test_closed_forms_within_the_mehler_dirichlet_bound():
+    # |cos| <= 1 under a positive kernel in the differentiated Mehler-Dirichlet
+    # integral gives |d_n(cos theta)| <= theta^n P_(-1/2)(cos theta)
+    d = (None, dp_dnu0, d2p_dnu2_0, d3p_dnu3_0)
+    for z in np.linspace(-0.999, 1.0, 201):
+        z = float(z)
+        theta, p = math.acos(z), legendre_p(-0.5, z)
+        assert p.converged
+        for n in (1, 2, 3):
+            assert abs(d[n](z)) <= theta**n * p.value, (z, n)
+    # theta^n alone is no bound for odd n
+    assert abs(d3p_dnu3_0(-0.99)) > math.acos(-0.99) ** 3
+
+
 def test_oracle_boundary_and_validation():
     # z = 1 is the empty interval: adaptive_quad's exact zero, scaled
     for order in (1, 2, 3):

@@ -232,7 +232,7 @@ class TestOdeChecks:
         (math.nan, GridSpec(-0.9, 0.9, 11), None, "^degree"),
     ])
     def test_base_errors_come_before_any_series_work(self, monkeypatch, nu, grid, tol, match):
-        # a bad tolerance first, then a grid outside +-0.95, then a bad degree
+        # a bad tolerance first, then a grid outside +-0.9, then a bad degree
         calls = []
         monkeypatch.setattr(verify, "_p_series", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match=match):
@@ -245,7 +245,7 @@ class TestOdeChecks:
     def test_base_is_per_point_legendre_p(self, nu, grid):
         # the report from one series call equals one built here from
         # per-point legendre_p calls on the same 5-point stencils
-        h, kept = 1e-3, []
+        h, kept = verify._ODE_STEP, []
         for z in grid.points():
             evals = [legendre_p(nu, z + k * h, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
             if all(e.converged for e in evals):
@@ -259,8 +259,8 @@ class TestOdeChecks:
                               kept[res.index(worst)][0], 1e-6, worst <= 1e-6)
         assert check_ode_base(nu, grid) == want
 
-    @pytest.mark.parametrize("order, h, check", [(2, 1e-3, check_ode_deriv2),
-                                                 (3, 5e-4, check_ode_deriv3)])
+    @pytest.mark.parametrize("order, h, check", [(2, verify._ODE_STEP, check_ode_deriv2),
+                                                 (3, verify._ODE_STEP, check_ode_deriv3)])
     @pytest.mark.parametrize("grid", [GridSpec(-0.9, 0.9, 101), GridSpec(-0.9, 0.9, 51),
                                       GridSpec(-0.9, 0.9, 33, "chebyshev")])
     def test_closed_form_is_per_point(self, order, h, check, grid):
@@ -289,6 +289,29 @@ class TestOdeChecks:
         r = check_ode_deriv3(GridSpec(-0.9, 0.9, 51))
         assert r.passed
         assert r.max_residual <= 1e-6
+
+    @pytest.mark.parametrize("grid", [GridSpec(-0.9, 0.9, 101),
+                                      GridSpec(-0.9, 0.9, 33, "chebyshev"),
+                                      GridSpec(-0.9, 0.9, 2)])
+    def test_one_step_holds_a_margin_over_the_window(self, grid):
+        # one stencil step serves every check on all of +-0.9: the worst
+        # residuals, P_nu at nu = 5 and d3 at z = -0.9, stay 3x below 1e-6
+        margin = DEFAULT_TOLERANCES["ode_base"] / 3.0
+        for nu in np.linspace(-5.0, 5.0, 41):
+            assert check_ode_base(float(nu), grid).max_residual <= margin
+        assert check_ode_deriv2(grid).max_residual <= margin
+        assert check_ode_deriv3(grid).max_residual <= margin
+
+    @pytest.mark.parametrize("check", [lambda g: check_ode_base(0.5, g),
+                                       check_ode_deriv2, check_ode_deriv3],
+                             ids=["ode_base", "ode_deriv2", "ode_deriv3"])
+    @pytest.mark.parametrize("grid", [GridSpec(-0.95, 0.9, 3), GridSpec(-0.9, 0.95, 3),
+                                      GridSpec(-0.95, 0.95, 2)])
+    def test_grids_past_the_window_raise(self, check, grid):
+        # past +-0.9 the stencil's truncation near z = -1 and the rounding
+        # of P_nu at |nu| = 5 leave no step that passes correct closed forms
+        with pytest.raises(DomainError, match="^ODE residual grids must lie within"):
+            check(grid)
 
     def test_reports_are_deterministic(self):
         grid = GridSpec(-0.9, 0.9, 31)
@@ -428,6 +451,16 @@ class TestIntegralIdentities:
 
         monkeypatch.setattr(verify, "d3p_dnu3_0", skewed)
         assert not check_li2_over_1mz_integral(GridSpec(0.05, 0.95, 11)).passed
+
+    def test_skewed_log_form_fails_at_the_report_tolerance(self, monkeypatch):
+        # a 4e-9 t error moves each spot's residual by 4e-9 (b - a) >= 1.2e-9,
+        # past the default 1e-9 that the spots are held to
+        exact = verify._li2_ratio_antideriv
+        monkeypatch.setattr(verify, "_li2_ratio_antideriv",
+                            lambda t, form: exact(t, form) + (4e-9 * t if form == "log" else 0.0))
+        r = check_li2_over_1mz_integral(GridSpec(0.05, 0.95, 11))
+        assert not r.passed and r.max_residual > 1e-9
+        assert r.argmax_location in [0.5 * (a + b) for a, b in verify._LOG_FORM_SPOT_INTERVALS]
 
     def test_refinement_does_not_blow_up(self):
         # residuals are method noise; refining the grid must not reveal an
