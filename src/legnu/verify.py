@@ -144,15 +144,12 @@ def _tolerance(identity_id: str, value: float | None) -> float:
     return value
 
 
-def _report(identity_id: str, samples: Iterable[tuple[float, float | None]],
+def _report(identity_id: str, samples: Iterable[tuple[float, float]],
             tolerance: float) -> IdentityReport:
-    """Statistics of (location, residual) samples, a None residual left out.
-    The worst residual is the first NaN, else the first maximum, so a NaN
-    fails the identity; the mean is ``math.fsum`` over the count."""
-    kept = [(x, r) for x, r in samples if r is not None]
-    if len(kept) < 2:
-        raise ValueError(f"{identity_id}: need at least 2 residual samples, got {len(kept)}")
-    res = [r for _, r in kept]
+    """Statistics of (location, residual) samples.  The worst residual is
+    the first NaN, else the first maximum, so a NaN fails the identity; the
+    mean is ``math.fsum`` over the count."""
+    locations, res = zip(*samples)
     nans = [i for i, r in enumerate(res) if math.isnan(r)]
     imax = nans[0] if nans else res.index(max(res))
     try:
@@ -160,8 +157,8 @@ def _report(identity_id: str, samples: Iterable[tuple[float, float | None]],
     except OverflowError:  # the sum is past the float range, so the mean is too
         mean = math.inf
     worst = res[imax]
-    return IdentityReport(identity_id, len(res), worst, mean, kept[imax][0], float(tolerance),
-                          worst <= tolerance)
+    return IdentityReport(identity_id, len(res), worst, mean, locations[imax],
+                          float(tolerance), worst <= tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +173,8 @@ def _ode_source(order: int, z: float) -> float:
 def _check_ode(identity_id: str, f, source, grid: GridSpec, tolerance: float) -> IdentityReport:
     """|(1-z^2) f'' - 2z f' + source(z, f(z))| over the grid, the derivatives
     by 5-point stencils.  Once the grid is checked, ``f`` is called once with
-    the stencil points z-2h .. z+2h of every grid point z and returns a value,
-    or None, for each; a z whose stencil holds a None is left out."""
+    the stencil points z-2h .. z+2h of every grid point z and returns a value
+    for each."""
     if grid.start < -_ODE_GRID_LIMIT or grid.end > _ODE_GRID_LIMIT:
         raise DomainError(
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
@@ -187,8 +184,6 @@ def _check_ode(identity_id: str, f, source, grid: GridSpec, tolerance: float) ->
     values = f([z + k * h for z in points for k in (-2, -1, 0, 1, 2)])
 
     def residual(z, stencil):
-        if None in stencil:
-            return None
         fm2, fm1, f0, fp1, fp2 = stencil
         d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
@@ -204,15 +199,17 @@ def _check_ode(identity_id: str, f, source, grid: GridSpec, tolerance: float) ->
 def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the Legendre equation on P_nu over the grid.
 
-    Points where the series fails to converge are excluded (reflected in
-    the report's sample count), never silently included.
+    A sum that did not converge enters as NaN, so its residual is NaN and
+    the identity fails.  Within [-0.9, 0.9] none is expected: past
+    k > |nu| + 1 the coefficient ratio lies in (0, 1), and the stencils
+    keep u = (1 - z)/2 <= 0.9506, so the terms fall geometrically.
     """
     tolerance = _tolerance("ode_base", tolerance)
 
     def p_values(zs):
         _check_degree(nu)  # after the grid, before any series work
         # one coefficient table for every point
-        return [e.value if e.converged else None for e in _p_series(nu, zs, 1e-15)]
+        return [e.value if e.converged else math.nan for e in _p_series(nu, zs, 1e-15)]
 
     return _check_ode("ode_base", p_values, lambda z, f0: nu * (nu + 1.0) * f0, grid, tolerance)
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from legnu import legendre
+from legnu import cli, legendre
 from legnu.cli import TARGETS, main
 from legnu.legendre import legendre_p, maclaurin_p
 from legnu.verify import GridSpec, IdentityReport
@@ -20,6 +21,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fail_p_where(monkeypatch, fails):
+    """Make the CLI's `legendre_p` flag its result as a series that did not
+    converge (``converged=False``, an infinite estimate) wherever
+    ``fails(z)``.  Callers keep z interior, so these tests do not rest on
+    the series' failure near z = -1."""
+    exact = legendre_p
+
+    def fake(nu, z, tol=1e-14):
+        r = exact(nu, z, tol)
+        return r._replace(abs_err_est=math.inf, converged=False) if fails(z) else r
+
+    monkeypatch.setattr(cli, "legendre_p", fake)
 
 
 class TestEval:
@@ -52,6 +67,12 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--what", "p", "--nu", "0.5", "--z", "-0.9999")
         assert code == 3
         assert "converge" in err
+
+    def test_nonconvergence_at_an_interior_point_exits_3(self, capsys, monkeypatch):
+        fail_p_where(monkeypatch, lambda z: True)
+        code, out, err = run_cli(capsys, "eval", "--what", "p", "--nu", "0.5", "--z", "0.3")
+        assert code == 3 and out == ""
+        assert err == "error: series did not converge at nu=0.5 z=0.3\n"
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["eval", "--what", "bogus", "--z", "0.5"]) == 2
@@ -157,6 +178,21 @@ class TestTabulate:
         assert code == 0
         statuses = [line.split(",")[1] for line in out.splitlines()[1:]]
         assert statuses == ["nonconverged", "ok"]
+
+    def test_interior_nonconverged_rows_are_marked(self, capsys, monkeypatch):
+        fail_p_where(monkeypatch, lambda z: True)
+        code, out, _ = run_cli(capsys, "tabulate", "--z-start", "-0.5", "--z-end", "0.5",
+                               "--count", "3", "--what", "p,d1", "--nu", "0.5")
+        assert code == 3
+        assert [line.split(",")[1] for line in out.splitlines()[1:]] == ["nonconverged"] * 3
+
+    def test_partial_interior_nonconvergence_still_exits_zero(self, capsys, monkeypatch):
+        fail_p_where(monkeypatch, lambda z: z < 0.0)
+        code, out, _ = run_cli(capsys, "tabulate", "--z-start", "-0.5", "--z-end", "0.5",
+                               "--count", "3", "--what", "p", "--nu", "0.5")
+        assert code == 0
+        statuses = [line.split(",")[1] for line in out.splitlines()[1:]]
+        assert statuses == ["nonconverged", "ok", "ok"]
 
     def test_determinism(self, capsys):
         args = ("tabulate", "--count", "101", "--what", "p,d1,d2,d3,maclaurin",
@@ -343,6 +379,16 @@ class TestTruncationStudy:
             expected = max(abs(maclaurin_p(nu, z, order) - legendre_p(nu, z).value)
                            for z in zs)
             assert rec["max_abs_err"] == expected
+
+    def test_nonconverged_reference_is_marked(self, capsys, monkeypatch):
+        # one interior point that did not converge marks every row of its degree
+        fail_p_where(monkeypatch, lambda z: z == 0.0)
+        code, out, _ = run_cli(capsys, "truncation-study", "--nu-start", "0.05",
+                               "--nu-end", "0.1", "--nu-count", "2", "--z-start", "-0.5",
+                               "--z-end", "0.5", "--count", "3")
+        assert code == 3
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 8 and all(row[2] == "nonconverged" for row in rows)
 
     def test_degree_grid_bound(self, capsys):
         code, _, err = run_cli(capsys, "truncation-study", "--nu-start", "-0.6",

@@ -154,8 +154,9 @@ def _fake_interval_residuals(monkeypatch, values):
 
 
 class TestReportStatistics:
-    """The worst residual is the first NaN, else the first maximum; a
-    non-converged sample is left out of the count, the maximum and the mean."""
+    """The worst residual is the first NaN, else the first maximum; a P_nu
+    sum that did not converge enters as NaN, so every grid point is a
+    sample."""
 
     def test_nan_closed_form_fails_its_ode_check(self, monkeypatch):
         grid = GridSpec(-0.9, 0.9, 51)
@@ -187,10 +188,10 @@ class TestReportStatistics:
         r = check_dilog_antiderivative(GridSpec(0.1, 0.9, 9))
         assert not r.passed and r.max_residual == 1e308 and r.mean_residual == math.inf
 
-    def test_nonconverged_samples_are_left_out(self, monkeypatch):
+    def test_nonconverged_samples_fail_as_nan(self, monkeypatch):
         # P_nu = v near the k-th point of a 0.1-step grid has zero stencil
         # derivatives, so the degree-1 residual there is exactly |2 v|; None
-        # is a non-converged series with a huge value
+        # is a non-converged series with a huge value, which enters as NaN
         values = [3.0, None, 1.0, 5.0, None, 2.0, 5.0, 4.0, 1.0, 0.0,
                   2.0, None, 3.0, 1.0, 4.0, 2.0, 1.0, 3.0, 2.0]
         template = legendre_p(0.0, 0.0)
@@ -201,11 +202,24 @@ class TestReportStatistics:
 
         monkeypatch.setattr(verify, "_p_series", lambda nu, zs, tol: [fake(nu, z, tol) for z in zs])
         grid = GridSpec(-0.9, 0.9, 19)
-        kept = [2.0 * v for v in values if v is not None]
         r = check_ode_base(1.0, grid, 100.0)
-        assert r.samples == 16 and r.passed
-        assert r.max_residual == 10.0 and r.argmax_location == grid.points()[3]
-        assert r.mean_residual == math.fsum(kept) / 16
+        assert r.samples == 19 and r.passed is False
+        assert math.isnan(r.max_residual) and r.argmax_location == grid.points()[1]
+        assert math.isnan(r.mean_residual)
+
+    def test_every_sum_cut_short_fails_the_report(self, monkeypatch):
+        # three terms cannot meet the series' stopping rule anywhere
+        monkeypatch.setattr(legendre, "MAX_TERMS", 3)
+        grid = GridSpec(-0.9, 0.9, 11)
+        r = check_ode_base(0.5, grid)
+        assert r.samples == 11 and r.passed is False
+        assert math.isnan(r.max_residual) and r.argmax_location == grid.points()[0]
+
+    def test_two_point_grid_gives_one_sample(self):
+        r = check_dilog_antiderivative(GridSpec(0.1, 0.9, 2))
+        resid = dilog_antiderivative_residual(0.1, 0.9)
+        assert r == IdentityReport("dilog_antiderivative", 1, resid, resid, 0.5,
+                                   DEFAULT_TOLERANCES["dilog_antiderivative"], True)
 
 
 class TestOdeChecks:
@@ -245,18 +259,17 @@ class TestOdeChecks:
     def test_base_is_per_point_legendre_p(self, nu, grid):
         # the report from one series call equals one built here from
         # per-point legendre_p calls on the same 5-point stencils
-        h, kept = verify._ODE_STEP, []
+        h, res = verify._ODE_STEP, []
         for z in grid.points():
             evals = [legendre_p(nu, z + k * h, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
-            if all(e.converged for e in evals):
-                fm2, fm1, f0, fp1, fp2 = (e.value for e in evals)
-                d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-                d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-                kept.append((z, abs((1.0 - z * z) * d2 - 2.0 * z * d1 + nu * (nu + 1.0) * f0)))
-        res = [r for _, r in kept]
+            assert all(e.converged for e in evals)
+            fm2, fm1, f0, fp1, fp2 = (e.value for e in evals)
+            d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
+            d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+            res.append(abs((1.0 - z * z) * d2 - 2.0 * z * d1 + nu * (nu + 1.0) * f0))
         worst = max(res)
         want = IdentityReport("ode_base", len(res), worst, math.fsum(res) / len(res),
-                              kept[res.index(worst)][0], 1e-6, worst <= 1e-6)
+                              grid.points()[res.index(worst)], 1e-6, worst <= 1e-6)
         assert check_ode_base(nu, grid) == want
 
     @pytest.mark.parametrize("order, h, check", [(2, verify._ODE_STEP, check_ode_deriv2),
@@ -301,6 +314,14 @@ class TestOdeChecks:
             assert check_ode_base(float(nu), grid).max_residual <= margin
         assert check_ode_deriv2(grid).max_residual <= margin
         assert check_ode_deriv3(grid).max_residual <= margin
+
+    def test_stencil_sums_converge_over_the_degree_envelope(self):
+        # check_ode_base scores a sum that did not converge as NaN; within
+        # +-0.9 none arises, since every stencil point has u = (1 - z)/2 <= 0.9506
+        points = [z + k * verify._ODE_STEP for z in (-0.9, 0.0, 0.9) for k in (-2, -1, 0, 1, 2)]
+        for nu in np.linspace(-5.0, 5.0, 201):
+            results = legendre._p_series(float(nu), points, 1e-15)
+            assert all(e.converged for e in results), nu
 
     @pytest.mark.parametrize("check", [lambda g: check_ode_base(0.5, g),
                                        check_ode_deriv2, check_ode_deriv3],
