@@ -16,7 +16,7 @@ import json
 import sys
 
 from .core import DomainError
-from .legendre import _NU_DERIVATIVES, _degree_partial_sums, _maclaurin, legendre_p
+from .legendre import _NU_DERIVATIVES, _maclaurin, legendre_p
 from .verify import GridSpec, report_lines, run_all
 
 EXIT_OK = 0
@@ -25,25 +25,8 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGED = 3
 
 
-def _eval_p(nu: float, z: float, row: dict, order: int) -> tuple[float, bool]:
-    r = legendre_p(nu, z)
-    return r.value, r.converged
-
-
-#: target -> f(nu, z, row, order) giving (value, converged), row being the
-#: record so far: targets run in this order, so maclaurin reuses the row's d
-#: columns.  Entries look their evaluators up when called, never binding the
-#: function objects, so wrappers installed on the module globals are seen.
-_EVALUATORS = {
-    "p": _eval_p,
-    "d1": lambda nu, z, row, order: (_NU_DERIVATIVES[1](z), True),
-    "d2": lambda nu, z, row, order: (_NU_DERIVATIVES[2](z), True),
-    "d3": lambda nu, z, row, order: (_NU_DERIVATIVES[3](z), True),
-    "maclaurin": lambda nu, z, row, order: (_maclaurin(
-        nu, z, order, (row.get("d1"), row.get("d2"), row.get("d3"))), True),
-}
-
-TARGETS = tuple(_EVALUATORS)
+#: d_k is TARGETS[k]; targets run in this order, so maclaurin reuses the row's d columns.
+TARGETS = ("p", "d1", "d2", "d3", "maclaurin")
 FORMATS = ("csv", "json", "pretty")
 
 
@@ -106,12 +89,19 @@ def _parse_targets(raw: list[str] | None) -> list[str]:
 
 def _row_values(z: float, targets: list[str], nu: float, order: int) -> dict:
     """The tabulate record of one grid point, each d_k it reads evaluated
-    once; its status reports whether every value in the row converged."""
+    once; its status reports whether the P_nu sum converged."""
     row = {"z": z, "status": "ok"}
+    ds = {}  # k -> d_k at z, for maclaurin
     for t in targets:
-        row[t], converged = _EVALUATORS[t](nu, z, row, order)
-        if not converged:
-            row["status"] = "nonconverged"
+        if t == "p":
+            r = legendre_p(nu, z)
+            row["status"] = "ok" if r.converged else "nonconverged"
+            row[t] = r.value
+        elif t == "maclaurin":
+            row[t] = _maclaurin(nu, z, order, ds)[order]
+        else:
+            k = TARGETS.index(t)
+            row[t] = ds[k] = _NU_DERIVATIVES[k](z)
     return row
 
 
@@ -182,13 +172,13 @@ def _cmd_truncation_study(args: argparse.Namespace) -> int:
     nu_grid = GridSpec(args.nu_start, args.nu_end, args.nu_count)
     z_grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
     zs = z_grid.points()
-    derivs = [[f(z) for f in _NU_DERIVATIVES[1:]] for z in zs]
+    derivs = [{k: _NU_DERIVATIVES[k](z) for k in (1, 2, 3)} for z in zs]
 
     records = []
     for nu in nu_grid.points():
         ref = [legendre_p(nu, z) for z in zs]
         status = "ok" if all(r.converged for r in ref) else "nonconverged"
-        sums = [_degree_partial_sums(nu, *d) for d in derivs]
+        sums = [_maclaurin(nu, z, 3, d) for z, d in zip(zs, derivs)]
         for order in range(4):
             err = max(abs(s[order] - r.value) for s, r in zip(sums, ref))
             records.append({"nu": nu, "order": order, "status": status, "max_abs_err": err})

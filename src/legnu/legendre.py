@@ -191,13 +191,8 @@ _NU_DERIVATIVES = (
 )
 
 
-def _degree_partial_sums(nu: float, d1: float, d2: float,
-                         d3: float) -> tuple[float, float, float, float]:
-    """Partial sums of the degree expansion about 0 for orders 0 through 3,
-    given the first three degree-derivatives at 0 (no domain checks)."""
-    s1 = 1.0 + nu * d1
-    s2 = s1 + nu * nu / 2.0 * d2
-    return 1.0, s1, s2, s2 + nu**3 / 6.0 * d3
+#: 1 .. n for each truncation order n, a table since a range per call costs more
+_UP_TO = ((), (1,), (1, 2), (1, 2, 3))
 
 
 def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
@@ -212,19 +207,22 @@ def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     order : int
         Truncation order, 0 through 3.
     """
-    return _maclaurin(nu, z, order, (None, None, None))
+    return _maclaurin(nu, z, order, {})[order]
 
 
-def _maclaurin(nu: float, z: float, order: int, known: tuple) -> float:
-    """`maclaurin_p` given ``known``: d_1 .. d_3 at z, None where not yet evaluated."""
+def _maclaurin(nu: float, z: float, order: int, known: dict) -> list[float]:
+    """`maclaurin_p` at orders 0 .. ``order``, each the sum below it plus its own term
+    (so rounded the same whatever ``order``), d_k read from ``known[k]`` where there."""
     nu = _check_degree(nu)
     z = _check_argument(z)
     if type(order) is not int or not 0 <= order <= 3:
         raise DomainError(f"truncation order must be an int in 0..3, got {order!r}")
-    d = [0.0, 0.0, 0.0]  # stands in for the coefficients above the order
-    for k in range(order):
-        d[k] = _NU_DERIVATIVES[k + 1](z) if known[k] is None else known[k]
-    return _degree_partial_sums(nu, *d)[order]
+    s = 1.0
+    sums = [s]
+    for k, c in zip(_UP_TO[order], (nu, nu * nu / 2.0, nu**3 / 6.0)):
+        s += c * (known[k] if k in known else _NU_DERIVATIVES[k](z))
+        sums.append(s)
+    return sums
 
 
 def nu_derivative_oracle(z: float, order: int) -> EvalResult:

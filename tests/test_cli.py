@@ -13,7 +13,7 @@ import pytest
 
 from legnu import cli, legendre
 from legnu.cli import TARGETS, main
-from legnu.legendre import legendre_p, maclaurin_p
+from legnu.legendre import d2p_dnu2_0, d3p_dnu3_0, dp_dnu0, legendre_p, maclaurin_p
 from legnu.verify import GridSpec, IdentityReport
 
 
@@ -64,9 +64,9 @@ class TestEval:
         assert "error" in err
 
     def test_nonconvergence_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "eval", "--what", "p", "--nu", "0.5", "--z", "-0.9999")
-        assert code == 3
-        assert "converge" in err
+        code, out, err = run_cli(capsys, "eval", "--what", "p", "--nu", "0.5", "--z", "-0.9999")
+        assert code == 3 and out == ""
+        assert err == "error: series did not converge at nu=0.5 z=-0.9999\n"
 
     def test_nonconvergence_at_an_interior_point_exits_3(self, capsys, monkeypatch):
         fail_p_where(monkeypatch, lambda z: True)
@@ -203,12 +203,35 @@ class TestTabulate:
         assert out1 == out2
 
 
+@pytest.fixture
+def closed_form_calls(monkeypatch):
+    """Calls so far of each closed form, in the order d1, d2, d3.  Every
+    binding of each is wrapped, as the bench tracer does, so that a call
+    through any module is counted."""
+    calls = dict.fromkeys(("dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0"), 0)
+    modules = [m for n, m in sys.modules.items() if n == "legnu" or n.startswith("legnu.")]
+    for name in calls:
+        original = getattr(legendre, name)
+
+        def counting(z, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(z)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestRowPath:
     @pytest.mark.parametrize("spacing", ["uniform", "chebyshev"])
-    @pytest.mark.parametrize("what", ["maclaurin", "d1,d2,d3,maclaurin"])
+    @pytest.mark.parametrize("what", ["maclaurin", "d1,d2,d3,maclaurin",
+                                      "d2,maclaurin", "p,d3,maclaurin"])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_maclaurin_column_matches_maclaurin_p(self, capsys, order, what, spacing):
-        # the grid crosses z = 1/2, where d3 switches branch
+        # every column is its public function bit for bit, whichever d columns
+        # the maclaurin column finds in its row; the grid crosses z = 1/2,
+        # where d3 switches branch
         nu = -0.37
         code, out, _ = run_cli(capsys, "tabulate", "--what", what, "--nu", str(nu),
                                "--order", str(order), "--z-start", "-0.999",
@@ -217,34 +240,37 @@ class TestRowPath:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 41
         assert min(float(r["z"]) for r in rows) < 0.5 < max(float(r["z"]) for r in rows)
+        public = {"p": lambda z: legendre_p(nu, z).value, "d1": dp_dnu0, "d2": d2p_dnu2_0,
+                  "d3": d3p_dnu3_0, "maclaurin": lambda z: maclaurin_p(nu, z, order)}
         for r in rows:
-            assert float(r["maclaurin"]) == maclaurin_p(nu, float(r["z"]), order)
+            z = float(r["z"])
+            assert list(r) == ["z", "status", *what.split(",")]
+            for t in what.split(","):
+                assert float(r[t]) == public[t](z), (t, z)
 
-    @pytest.mark.parametrize("what, expected", [
-        ("p,d1,d2,d3,maclaurin", (1, 1, 1)),
-        ("maclaurin", (1, 1, 1)),
-        ("d3", (0, 0, 1)),
-    ])
-    def test_each_closed_form_is_called_once_per_row(self, capsys, monkeypatch, what,
-                                                      expected):
-        # wrap every binding of each closed form, as the bench tracer does, so
-        # that a call through any module is counted
-        calls = dict.fromkeys(("dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0"), 0)
-        modules = [m for n, m in sys.modules.items() if n == "legnu" or n.startswith("legnu.")]
-        for name in calls:
-            original = getattr(legendre, name)
-
-            def counting(z, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(z)
-
-            for module in modules:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counting)
+    @pytest.mark.parametrize("what, order, expected", [
+        ("p,d1,d2,d3,maclaurin", 3, (1, 1, 1)),
+        ("maclaurin", 3, (1, 1, 1)),
+        ("d3", 3, (0, 0, 1)),
+        # maclaurin reuses the d columns of its row and computes the others
+        ("d2,maclaurin", 3, (1, 1, 1)),
+        ("d3,maclaurin", 1, (1, 0, 1)),
+        ("d1,d2", 3, (1, 1, 0)),
+    ], ids=["p,d1,d2,d3,maclaurin-expected0", "maclaurin-expected1", "d3-expected2",
+            "d2,maclaurin-order3", "d3,maclaurin-order1", "d1,d2-order3"])
+    def test_each_closed_form_is_called_once_per_row(self, capsys, closed_form_calls, what,
+                                                      order, expected):
         code, _, _ = run_cli(capsys, "tabulate", "--what", what, "--nu", "0.3",
-                             "--count", "23")
+                             "--order", str(order), "--count", "23")
         assert code == 0
-        assert tuple(calls.values()) == tuple(23 * n for n in expected)
+        assert tuple(closed_form_calls.values()) == tuple(23 * n for n in expected)
+
+    def test_eval_maclaurin_calls_the_closed_forms_up_to_its_order(self, capsys,
+                                                                   closed_form_calls):
+        code, _, _ = run_cli(capsys, "eval", "--what", "maclaurin", "--nu", "0.3",
+                             "--z", "0.2", "--order", "2")
+        assert code == 0
+        assert tuple(closed_form_calls.values()) == (1, 1, 0)
 
     @pytest.mark.parametrize("argv, code, message", [
         (("tabulate", "--what", "d1", "--nu", "7"), 0, None),

@@ -2,6 +2,7 @@
 degree-derivatives, the degree expansion, and the quadrature oracle."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -258,6 +259,26 @@ def test_maclaurin_fourth_order_convergence():
 
     ratio = err(0.1) / err(0.05)
     assert 12.0 <= ratio <= 20.0
+
+
+def _bits(xs):
+    return [struct.pack("<d", x) for x in xs]
+
+
+@given(st.floats(-5.0, 5.0), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                      max_size=3))
+@example(0.37, [-0.6, -0.5, -0.4])
+@example(-5.0, [1e308, -1e308, 1e308])
+def test_degree_sums_round_as_written(nu, ds):
+    # the partial sums that tabulate's maclaurin column and truncation-study
+    # print are these expressions bit for bit, however many d_k are given
+    hand = [1.0, 1.0 + nu * ds[0]] if ds else [1.0]
+    if len(ds) > 1:
+        hand.append(hand[1] + nu * nu / 2.0 * ds[1])
+    if len(ds) > 2:
+        hand.append(hand[2] + nu**3 / 6.0 * ds[2])
+    sums = legendre._maclaurin(nu, 0.5, len(ds), dict(enumerate(ds, 1)))
+    assert _bits(sums) == _bits(hand)
 
 
 def test_closed_forms_within_the_mehler_dirichlet_bound():

@@ -164,7 +164,7 @@ def test_integral_oracle_at_zero():
         assert math.copysign(1.0, r.value) == 1.0
 
 
-@pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99])
+@pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 def test_integral_oracle_matches_series(x):
     r = dilog_integral_oracle(x, 1e-12)
     assert r.converged
