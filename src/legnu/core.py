@@ -118,13 +118,16 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
     at its rounding floor is set aside unhalved, because halving does not
     lower the floor's sum; once all are, the loop stops.  The value and the
     estimate are the ``math.fsum`` of the subintervals' values and
-    estimates.  Non-convergence, including a NaN estimate, is reported
-    through the result flag, never raised.
+    estimates, so a call whose first rule meets ``tol`` returns that rule's
+    value and estimate, a -0.0 value as +0.0.  Non-convergence, including a
+    NaN estimate, is reported through the result flag, never raised.
     """
     _check_tolerance("quadrature", tol)
     if a == b:
         return EvalResult(0.0, 0.0, True)
     value, err, floor = _gk21(f, a, b)
+    if err <= tol:  # what the loop would give: + 0.0 makes -0.0 +0.0, as fsum does
+        return _result((value + 0.0, err, True))
     heap = [(-err, a, b, value, floor)]  # largest estimate first
     done = []  # subintervals set aside at their floor
     # a running total steers the loop, and a NaN ends it; it is summed
@@ -145,4 +148,4 @@ def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -
         if total <= tol:
             total = math.fsum(-item[0] for item in heap + done)
     err = math.fsum(-item[0] for item in heap + done)
-    return EvalResult(math.fsum(item[3] for item in heap + done), err, err <= tol)
+    return _result((math.fsum(item[3] for item in heap + done), err, err <= tol))

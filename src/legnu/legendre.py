@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult, _check_tolerance, adaptive_quad
+from .core import EPS, DomainError, EvalResult, _check_tolerance, _result, adaptive_quad
 from .polylog import _LI2_ODD, ZETA3, _compile_horner, dilog, trilog
 
 __all__ = [
@@ -260,24 +260,24 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     z = _check_argument(z)
     if type(order) is not int or order not in (1, 2, 3):
         raise DomainError(f"oracle derivative order must be an int in (1, 2, 3), got {order!r}")
+    sin, sqrt = math.sin, math.sqrt
     if z >= 0.0:
-        theta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 - z)))
-        sin_half_sum = lambda u: math.sin(theta - u)  # sin((phi + theta) / 2)
+        theta = 2.0 * math.asin(sqrt(0.5 * (1.0 - z)))
+        base, step = theta, -1.0  # sin(base + step u) is sin((phi + theta) / 2)
     else:
-        delta = 2.0 * math.asin(math.sqrt(0.5 * (1.0 + z)))
+        delta = 2.0 * math.asin(sqrt(0.5 * (1.0 + z)))
         theta = math.pi - delta
-        sin_half_sum = lambda u: math.sin(delta + u)
-    # cos(x + n pi/2) for n = 0 .. 3, with x = phi/2
-    trig, sign = ((math.cos, 1.0), (math.sin, -1.0), (math.cos, -1.0), (math.sin, 1.0))[order]
+        base, step = delta, 1.0  # the same sine as sin(delta + u)
+    # 2 cos(x + n pi/2) for n = 0 .. 3, with x = phi/2
+    trig, sign = ((math.cos, 2.0), (sin, -2.0), (math.cos, -2.0), (sin, 2.0))[order]
 
     # dphi / sqrt(cos(phi) - cos(theta)) in t; G10-K21 never samples t = 0,
     # where it tends to 2 / sqrt(sin(theta)) dt
     def integrand(t: float) -> float:
         u = 0.5 * t * t  # (theta - phi) / 2
         phi = theta - t * t
-        return sign * phi**order * trig(0.5 * phi) * 2.0 * t / math.sqrt(
-            2.0 * sin_half_sum(u) * math.sin(u))
+        return sign * phi**order * trig(0.5 * phi) * t / sqrt(2.0 * sin(base + step * u) * sin(u))
 
     q = adaptive_quad(integrand, 0.0, math.sqrt(theta), 1e-12 * max(1.0, theta**order))
     scale = math.sqrt(2.0) / math.pi
-    return EvalResult(scale * q.value, scale * q.abs_err_est, q.converged)
+    return _result((scale * q.value, scale * q.abs_err_est, q.converged))

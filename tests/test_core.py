@@ -7,6 +7,7 @@ import pytest
 
 from legnu import core, verify
 from legnu.core import EvalResult, adaptive_quad
+from legnu.legendre import nu_derivative_oracle
 from legnu.polylog import dilog, dilog_integral_oracle
 from legnu.verify import GridSpec
 
@@ -120,6 +121,22 @@ def test_reversed_interval_changes_the_sign():
     assert abs(backward.value + forward.value) <= 4 * math.ulp(forward.value)
 
 
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0), (-0.5, 0.25), (0.25, -0.5)])
+@pytest.mark.parametrize("f", [math.exp, math.sin, lambda t: 1.0 / (1.0 + t * t)],
+                         ids=["exp", "sin", "rational"])
+def test_one_rule_returns_what_the_loop_would(f, a, b, rules):
+    value, err, _ = core._gk21(f, a, b)
+    r = adaptive_quad(f, a, b, 1e-12)
+    assert len(rules) == 2  # the rule above and the call's one rule
+    assert type(r) is EvalResult
+    assert r == (math.fsum([value]), math.fsum([err]), True)
+
+
+def test_reversed_zero_integral_is_plus_zero():
+    r = adaptive_quad(lambda t: 0.0, 1.0, 0.0, 1e-12)
+    assert r == (0.0, 0.0, True) and math.copysign(1.0, r.value) == 1.0
+
+
 def test_empty_interval_is_exactly_zero():
     assert adaptive_quad(math.exp, 0.5, 0.5, 1e-12) == EvalResult(0.0, 0.0, True)
 
@@ -154,6 +171,19 @@ def test_tolerance_below_the_rounding_floor_stops_early(quad, exact, rules):
 def test_integral_oracle_takes_one_rule(x, rules):
     assert dilog_integral_oracle(x, 1e-12).converged
     assert len(rules) == 1
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("z", [0.85, 0.3, 0.0, -0.5])
+def test_nu_oracle_takes_one_rule(z, order, rules):
+    assert nu_derivative_oracle(z, order).converged
+    assert len(rules) == 1
+
+
+def test_nu_oracle_bisects_where_one_rule_falls_short(rules):
+    r = nu_derivative_oracle(-0.85, 3)
+    assert r.converged and type(r) is EvalResult
+    assert len(rules) == 3  # one rule, then one bisection
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-14, 3e-15, 1e-15])
