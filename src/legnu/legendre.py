@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult, _check_tolerance, _result, adaptive_quad
+from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
 from .polylog import _LI2_ODD, ZETA3, _compile_horner, dilog, trilog
 
 __all__ = [
@@ -33,9 +33,11 @@ __all__ = [
 #: Largest |degree| accepted by the series evaluator.
 DEGREE_ENVELOPE = 5.0
 
-#: Series term cap per argument, in `_p_series` (and so in `legendre_p`); at
-#: the default tolerance it is reached for 1 + z below about 4e-4 (3e-4
-#: fails, 4e-4 converges).
+#: Relative truncation tolerance of the series' proven stop (see `_p_series`).
+SERIES_TOL = 1e-14
+
+#: Series term cap per argument, in `_p_series` (and so in `legendre_p`); a
+#: non-integer degree reaches it for 1 + z below about 4e-4 (3.5e-4 fails).
 MAX_TERMS = 100_000
 
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
@@ -58,12 +60,12 @@ def _check_degree(nu: float) -> float:
     return nu
 
 
-def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
+def legendre_p(nu: float, z: float) -> EvalResult:
     """Legendre function of the first kind, P_nu(z), for real degree.
 
-    The one-argument `_p_series`, which documents the series.  For integer
-    degree the series terminates and the usual polynomials are recovered
-    exactly; P_nu(1) = 1 for every degree.
+    The one-argument `_p_series`, which documents the series and its stop.
+    For integer degree the series terminates and the usual polynomials are
+    recovered exactly; P_nu(1) = 1 for every degree.
 
     Parameters
     ----------
@@ -71,41 +73,44 @@ def legendre_p(nu: float, z: float, tol: float = 1e-14) -> EvalResult:
         Degree, |nu| <= 5.
     z : float
         Argument in (-1, 1].
-    tol : float
-        Relative truncation tolerance, positive and finite.
 
     Returns
     -------
     EvalResult
-        converged is False when the term cap is reached (at the default
-        tolerance, for 1 + z below about 4e-4); the value is then the
-        partial sum, with no error bound: abs_err_est is inf.
+        converged is False when the term cap is reached (for 1 + z below
+        about 4e-4); the value is then the partial sum, with no error
+        bound: abs_err_est is inf.
     """
-    return _p_series(nu, (z,), tol)[0]
+    return _p_series(nu, (z,))[0]
 
 
-def _p_series(nu: float, zs, tol: float) -> list[EvalResult]:
+def _p_series(nu: float, zs) -> list[EvalResult]:
     """P_nu(z) for each z in ``zs``, as in `legendre_p`.
 
-    Sums c_k u^k with u = (1-z)/2, c_0 = 1 and
-    c_{k+1} = c_k (k - nu)(k + nu + 1) / (k + 1)^2 (DLMF 15.2.1), stopping
-    once two consecutive terms fall below ``tol`` relative to the partial
-    sum, or at `MAX_TERMS` terms.  With more than one argument the
-    coefficients c_1, c_2, ... are computed once: the first sums fill a
-    table that later sums read, extending it when they need more terms.
-    One argument keeps no table, since its sum alone can run to the term
-    cap and no later sum would read it.  Each result is the same bit for
-    bit whichever arguments precede it."""
+    Sums c_k u^k with u = (1-z)/2, c_0 = 1 and c_{j+1} = c_j r_j,
+    r_j = (j - nu)(j + nu + 1) / (j + 1)^2 (DLMF 15.2.1), up to its first
+    term c_m u^m with m > max(nu, -nu - 1) and |c_m u^m| <= `SERIES_TOL`
+    |partial sum|, or `MAX_TERMS` terms.  For j >= m both factors of
+    (j - nu)(j + nu + 1) are positive and (j + 1)^2 exceeds their product
+    by j + 1 + nu (nu + 1) > 0, so every later r_j lies in (0, 1) and the
+    tail is at most |c_m u^m| u / (1 - u): abs_err_est is that bound plus a
+    rounding allowance EPS sum|c_k u^k| (1 + sqrt(m)), a heuristic while
+    sums near z = -1 run to thousands of terms; the worst case,
+    m EPS sum|c_k u^k|, replaces it once they are about 50 terms long.
+    With more than one argument the coefficients c_1, c_2, ... are computed
+    once: the first sums fill a table that later sums read, extending it
+    when they need more terms.  One argument keeps no table, since its sum
+    alone can run to the term cap and no later sum would read it.  Each
+    result is the same bit for bit whichever arguments precede it."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
-    _check_tolerance("series", tol)
+    past = max(nu, -nu - 1.0)  # r_j lies in (0, 1) for every j > past
     keep = len(zs) > 1
     table: list[float] = []  # table[k] is c_(k+1)
     out = []
     for z in zs:
         u = 0.5 * (1.0 - z)
         total = abs_total = upow = coeff = 1.0
-        last_small = -2
         n = len(table)  # c_1 .. c_n are read; later ones run the recurrence
         for k in range(MAX_TERMS):
             if k < n:
@@ -115,18 +120,14 @@ def _p_series(nu: float, zs, tol: float) -> list[EvalResult]:
                 if keep:
                     table.append(coeff)
             upow *= u
-            term = coeff * upow
+            term = coeff * upow  # c_m u^m with m = k + 1
             total += term
             abs_total += abs(term)
-            if abs(term) <= tol * abs(total):
-                if last_small == k - 1:
-                    # the tail is geometric-ish with ratio u, plus a rounding
-                    # allowance that grows with the summation length
-                    tail = abs(term) * u / (1.0 - u)
-                    out.append(EvalResult(
-                        total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True))
-                    break
-                last_small = k
+            if abs(term) <= SERIES_TOL * abs(total) and k + 1 > past:
+                tail = abs(term) * u / (1.0 - u)
+                out.append(EvalResult(
+                    total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True))
+                break
         else:
             out.append(EvalResult(total, math.inf, False))
     return out

@@ -76,15 +76,20 @@ def test_domain_validation():
         legendre_p(0.5, 1.0000001)
     with pytest.raises(DomainError):
         legendre_p(5.1, 0.5)
-    with pytest.raises(DomainError):
-        legendre_p(0.5, 0.5, tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-def test_series_tolerance_must_be_positive_and_finite(tol):
-    # nan used to sum all MAX_TERMS terms; inf returned a truncated value as converged
-    with pytest.raises(DomainError, match="^series tolerance must be positive and finite, got "):
-        legendre_p(0.3, -0.5, tol=tol)
+@pytest.mark.parametrize("nu, z, cap, converged", [
+    # near z = 1 the terms are tiny from the first, but c_m still grows
+    # through m = 4 at nu = 4.9, so no stop comes before m = 5
+    (4.9, 1.0 - 2.0**-52, 4, False),
+    (4.9, 1.0 - 2.0**-52, 5, True),
+    # P_3's series ends with c_4 = 0, the fourth term summed: a proven stop
+    (3.0, 0.3, 4, True),
+])
+def test_sum_stops_at_its_first_small_term_past_the_proven_index(monkeypatch, nu, z, cap,
+                                                                 converged):
+    monkeypatch.setattr(legendre, "MAX_TERMS", cap)
+    assert legendre_p(nu, z).converged is converged
 
 
 def test_nonconvergence_is_flagged_near_minus_one():
@@ -104,39 +109,39 @@ def test_one_argument_keeps_no_coefficient_table():
     assert peak < 64 * 1024
 
 
-# value and error estimate for z >= 0, bit for bit as the series gave them when
-# legendre_p and _p_series each had their own loop
+# value and error estimate for z >= 0, bit for bit as the series gives them
+# with its proven stop
 _P_BITS = [
-    (0.5, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
-    (0.5, 0.999999999, "0x1.fffffffcc75dcp-1", "0x1.5db3d744f5a19p-51"),
-    (0.5, 0.9, "0x1.ec7dad97469f3p-1", "0x1.2115e3e111e93p-50"),
-    (0.5, 0.5, "0x1.972add69ad678p-1", "0x1.0441b0420cc8bp-49"),
-    (0.5, 0.3, "0x1.66e16a460abadp-1", "0x1.a0cf8e26afb58p-49"),
-    (0.5, 0.0, "0x1.1426062e3bb6bp-1", "0x1.2d3c764fb4d88p-48"),
-    (-0.37, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
-    (-0.37, 0.999999999, "0x1.000000008025fp+0", "0x1.5db3d74371731p-51"),
-    (-0.37, 0.9, "0x1.0311e93415910p+0", "0x1.1980bd244ff64p-50"),
-    (-0.37, 0.5, "0x1.1172982c26dbbp+0", "0x1.ccc3384646570p-50"),
-    (-0.37, 0.3, "0x1.1a53cd971a166p+0", "0x1.679e57fd7c97ep-49"),
-    (-0.37, 0.0, "0x1.2aee3d0264b5fp+0", "0x1.72776abc8616ap-48"),
-    (2.5, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
+    (0.5, 1.0, "0x1.0000000000000p+0", "0x1.0000000000000p-51"),
+    (0.5, 0.999999999, "0x1.fffffffcc75dcp-1", "0x1.3504f335eba6dp-51"),
+    (0.5, 0.9, "0x1.ec7dad97469f4p-1", "0x1.475e93b347d91p-50"),
+    (0.5, 0.5, "0x1.972add69ad680p-1", "0x1.82cd7f193c362p-49"),
+    (0.5, 0.3, "0x1.66e16a460abbfp-1", "0x1.670cbbd400f10p-48"),
+    (0.5, 0.0, "0x1.1426062e3bb7bp-1", "0x1.b01c26a164ab2p-48"),
+    (-0.37, 1.0, "0x1.0000000000000p+0", "0x1.0000000000000p-51"),
+    (-0.37, 0.999999999, "0x1.000000008025fp+0", "0x1.3504f3349498fp-51"),
+    (-0.37, 0.9, "0x1.0311e9341590fp+0", "0x1.37dc714132dc6p-50"),
+    (-0.37, 0.5, "0x1.1172982c26db8p+0", "0x1.5515e5d003af6p-49"),
+    (-0.37, 0.3, "0x1.1a53cd971a15ep+0", "0x1.391a0756910a1p-48"),
+    (-0.37, 0.0, "0x1.2aee3d0264b50p+0", "0x1.32587acfa7f6ep-47"),
+    (2.5, 1.0, "0x1.0000000000000p+0", "0x1.5db3d742c2655p-51"),
     (2.5, 0.999999999, "0x1.ffffffda6b460p-1", "0x1.5db3d75c6d796p-51"),
-    (2.5, 0.9, "0x1.329bb63b473ffp-1", "0x1.a59ca07efa271p-50"),
-    (2.5, 0.5, "-0x1.5b56d77c57e14p-2", "0x1.8aff6c3363da0p-48"),
-    (2.5, 0.3, "-0x1.dac9f3e4ea7c1p-2", "0x1.47ea7074d3b2cp-47"),
-    (2.5, 0.0, "-0x1.4b60d4377ad8dp-2", "0x1.3801ebb3eb513p-46"),
-    (-4.2, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
-    (-4.2, 0.999999999, "0x1.ffffffc646907p-1", "0x1.5db3d76a2f928p-51"),
-    (-4.2, 0.9, "0x1.ae39be218af30p-2", "0x1.fa783a3817f7cp-50"),
-    (-4.2, 0.5, "-0x1.c4b4042ae8dbap-2", "0x1.55b888913efe3p-47"),
-    (-4.2, 0.3, "-0x1.3d75dfd65de9ap-2", "0x1.33ef323bfca68p-46"),
-    (-4.2, 0.0, "0x1.055da447b0313p-3", "0x1.4b5cb2c46c51fp-45"),
-    (4.9, 1.0, "0x1.0000000000000p+0", "0x1.3504f333f9de6p-51"),
-    (4.9, 0.999999999, "0x1.ffffff83d51eap-1", "0x1.5db3d797913d2p-51"),
-    (4.9, 0.9, "-0x1.25ffc67b4d5d8p-6", "0x1.b9b08ac30edeap-49"),
-    (4.9, 0.5, "0x1.b09c72e00f0c9p-5", "0x1.662cc921630eap-45"),
-    (4.9, 0.3, "0x1.5cf81207d7e68p-2", "0x1.a077d4df875d5p-44"),
-    (4.9, 0.0, "0x1.b71703b9e7075p-5", "0x1.3a61bb9e25dfdp-42"),
+    (2.5, 0.9, "0x1.329bb63b473ffp-1", "0x1.9c47da8c471d0p-50"),
+    (2.5, 0.5, "-0x1.5b56d77c57e0fp-2", "0x1.9a75cb6e12a0ep-48"),
+    (2.5, 0.3, "-0x1.dac9f3e4ea7b1p-2", "0x1.65c459275f1dep-47"),
+    (2.5, 0.0, "-0x1.4b60d4377ad7ap-2", "0x1.48af420916742p-46"),
+    (-4.2, 1.0, "0x1.0000000000000p+0", "0x1.8000000000000p-51"),
+    (-4.2, 0.999999999, "0x1.ffffffc646907p-1", "0x1.8000002b4b13cp-51"),
+    (-4.2, 0.9, "0x1.ae39be218af30p-2", "0x1.edf0ec07bfb27p-50"),
+    (-4.2, 0.5, "-0x1.c4b4042ae8dcap-2", "0x1.73037c9d86f43p-47"),
+    (-4.2, 0.3, "-0x1.3d75dfd65dea5p-2", "0x1.3b8177674ec4ep-46"),
+    (-4.2, 0.0, "0x1.055da447b0307p-3", "0x1.4b3cb89e5ec5cp-45"),
+    (4.9, 1.0, "0x1.0000000000000p+0", "0x1.9e3779b97f4a8p-51"),
+    (4.9, 0.999999999, "0x1.ffffff83d51eap-1", "0x1.9e377a1df36aep-51"),
+    (4.9, 0.9, "-0x1.25ffc67b4d5d8p-6", "0x1.ac4d3bc82586cp-49"),
+    (4.9, 0.5, "0x1.b09c72e00f0d0p-5", "0x1.606a87938ba87p-45"),
+    (4.9, 0.3, "0x1.5cf81207d7e72p-2", "0x1.9d28effd669b9p-44"),
+    (4.9, 0.0, "0x1.b71703b9e7098p-5", "0x1.378f6d9a21e43p-42"),
 ]
 
 
@@ -153,32 +158,30 @@ _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0
 
 
 @settings(deadline=None)
-@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=8),
-       st.sampled_from([1e-14, 1e-15]))
-@example(0.0, [0.3, 1.0, -0.9, 0.3], 1e-15)
-@example(1.0, [-0.5, -0.99999, 0.25], 1e-14)
-@example(3.0, [0.9, -0.9, 1.0], 1e-15)
-@example(-4.0, [-0.7, -0.7, 0.1], 1e-14)
-@example(0.5, [-0.99999, -0.9, 1.0, -0.9], 1e-15)
-@example(-2.7, [0.3, -0.99999, 0.3], 1e-14)
-@example(2.5, [0.9, 0.3, -0.95, 0.5], 1e-15)
-def test_p_series_is_legendre_p_at_each_argument(nu, zs, tol):
+@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=8))
+@example(0.0, [0.3, 1.0, -0.9, 0.3])
+@example(1.0, [-0.5, -0.99999, 0.25])
+@example(3.0, [0.9, -0.9, 1.0])
+@example(-4.0, [-0.7, -0.7, 0.1])
+@example(0.5, [-0.99999, -0.9, 1.0, -0.9])
+@example(-2.7, [0.3, -0.99999, 0.3])
+@example(2.5, [0.9, 0.3, -0.95, 0.5])
+def test_p_series_is_legendre_p_at_each_argument(nu, zs):
     # a sum that reads the table built by earlier arguments, and extends it
     # when it needs more terms, gives what the same sum alone (which keeps no
     # table) gives, bit for bit, the non-converged return at the term cap included
-    assert legendre._p_series(nu, zs, tol) == [legendre_p(nu, z, tol) for z in zs]
+    assert legendre._p_series(nu, zs) == [legendre_p(nu, z) for z in zs]
 
 
-@pytest.mark.parametrize("nu, zs, tol, match", [
-    (0.5, [-1.0], 1e-15, "argument"),
-    (0.5, [0.3, -0.5, 1.0000001], 1e-15, "argument"),
-    (0.5, [0.3, math.nan, 0.2], 1e-14, "argument"),
-    (5.1, [0.3], 1e-15, "degree"),
-    (0.5, [0.3], 0.0, "tolerance"),
+@pytest.mark.parametrize("nu, zs, match", [
+    (0.5, [-1.0], "argument"),
+    (0.5, [0.3, -0.5, 1.0000001], "argument"),
+    (0.5, [0.3, math.nan, 0.2], "argument"),
+    (5.1, [0.3], "degree"),
 ])
-def test_p_series_rejects_what_legendre_p_rejects(nu, zs, tol, match):
+def test_p_series_rejects_what_legendre_p_rejects(nu, zs, match):
     with pytest.raises(DomainError, match=match):
-        legendre._p_series(nu, zs, tol)
+        legendre._p_series(nu, zs)
 
 
 def test_dp_dnu0_values():
@@ -255,7 +258,7 @@ def test_maclaurin_order_must_be_an_int(order):
 def test_maclaurin_fourth_order_convergence():
     # halving the degree should shrink the order-3 error by roughly 2^4
     def err(nu):
-        return abs(maclaurin_p(nu, 0.5, 3) - legendre_p(nu, 0.5, tol=1e-15).value)
+        return abs(maclaurin_p(nu, 0.5, 3) - legendre_p(nu, 0.5).value)
 
     ratio = err(0.1) / err(0.05)
     assert 12.0 <= ratio <= 20.0

@@ -164,6 +164,13 @@ def test_integral_oracle_at_zero():
         assert math.copysign(1.0, r.value) == 1.0
 
 
+def test_integral_oracle_at_the_smallest_subnormal():
+    # the rule's nodes on [0, 5e-324] round to s = 0, where the integrand
+    # takes its limit 1 instead of dividing by expm1(0) = 0
+    r = dilog_integral_oracle(5e-324, 1e-12)
+    assert r.converged and math.isfinite(r.value)
+
+
 @pytest.mark.parametrize("x", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999])
 def test_integral_oracle_matches_series(x):
     r = dilog_integral_oracle(x, 1e-12)

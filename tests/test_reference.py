@@ -8,7 +8,9 @@ domain is z in [-0.99, 1] plus the boundary layers 1 +- z = 10^-k, k = 1..12.
 Closer to z = -1 the Legendre series needs tens of thousands of terms on
 [-0.9996, -0.995] and stops unconverged further in; there only its error
 estimate is checked: a bound on the error where it converged, infinite where
-it did not.
+it did not.  The error there is the truncation its stop leaves, up to about
+1e-14 |P| u/(1 - u) with u = (1 - z)/2, not rounding: at nu = 1/2,
+z = -0.999 a 1e-14 stop leaves 3.86e-11 and a 1e-17 stop 2.60e-13.
 """
 
 import math
@@ -139,7 +141,7 @@ def test_legendre_p_converged_and_within_estimate():
 
 
 #: Relative accuracy of legendre_p on [-0.9, 1], relative to max(1, |P|);
-#: the worst measured error is 1.65e-13, at nu = -0.37, z = -0.9.
+#: the worst measured error is 1.74e-13, at nu = -0.37, z = -0.9.
 P_REL = 2.5e-13
 P_REL_NU = [5.0, -5.0, 4.9, 3.3, 2.7, 2.5, 1.5, 0.5, 0.01, -0.37, -2.6, -4.2]
 
@@ -165,11 +167,11 @@ def test_legendre_p_meets_relative_contract(nu):
     assert not misses, f"{len(misses)} misses, first {misses[0]}"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: rounding piles up over the tens of "
-                   "thousands of terms the direct series sums near z = -1")
+@pytest.mark.xfail(reason="ROADMAP item 2: near z = -1 the direct series stops "
+                   "with a tail of up to 1e-14 |P| u/(1 - u) left unsummed, u = (1 - z)/2")
 @pytest.mark.parametrize("z", [-0.999, -0.9996])
 def test_legendre_p_meets_relative_contract_near_minus_one(z):
-    # errors of 1.9e-11 and 4.8e-11 relative to max(1, |P|)
+    # errors of 1.9e-11 and 4.8e-11 relative to max(1, |P|), the truncation
     assert not _legendre_p_misses(2.5, [z])
 
 

@@ -196,11 +196,11 @@ class TestReportStatistics:
                   2.0, None, 3.0, 1.0, 4.0, 2.0, 1.0, 3.0, 2.0]
         template = legendre_p(0.0, 0.0)
 
-        def fake(nu, z, tol=None):
+        def fake(nu, z):
             v = values[round(10.0 * z) + 9]
             return template._replace(value=1e300 if v is None else v, converged=v is not None)
 
-        monkeypatch.setattr(verify, "_p_series", lambda nu, zs, tol: [fake(nu, z, tol) for z in zs])
+        monkeypatch.setattr(verify, "_p_series", lambda nu, zs: [fake(nu, z) for z in zs])
         grid = GridSpec(-0.9, 0.9, 19)
         r = check_ode_base(1.0, grid, 100.0)
         assert r.samples == 19 and r.passed is False
@@ -261,7 +261,7 @@ class TestOdeChecks:
         # per-point legendre_p calls on the same 5-point stencils
         h, res = verify._ODE_STEP, []
         for z in grid.points():
-            evals = [legendre_p(nu, z + k * h, tol=1e-15) for k in (-2, -1, 0, 1, 2)]
+            evals = [legendre_p(nu, z + k * h) for k in (-2, -1, 0, 1, 2)]
             assert all(e.converged for e in evals)
             fm2, fm1, f0, fp1, fp2 = (e.value for e in evals)
             d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
@@ -320,7 +320,7 @@ class TestOdeChecks:
         # +-0.9 none arises, since every stencil point has u = (1 - z)/2 <= 0.9506
         points = [z + k * verify._ODE_STEP for z in (-0.9, 0.0, 0.9) for k in (-2, -1, 0, 1, 2)]
         for nu in np.linspace(-5.0, 5.0, 201):
-            results = legendre._p_series(float(nu), points, 1e-15)
+            results = legendre._p_series(float(nu), points)
             assert all(e.converged for e in results), nu
 
     @pytest.mark.parametrize("check", [lambda g: check_ode_base(0.5, g),
@@ -423,6 +423,23 @@ class TestIntegralIdentities:
         for form in ("reduced", "log"):
             with pytest.raises(DomainError, match=msg):
                 li2_ratio_antiderivative_residual(a, b, tol, form=form)
+
+    def test_unknown_form_is_rejected(self):
+        with pytest.raises(DomainError, match="^unknown antiderivative form 'bogus'$"):
+            li2_ratio_antiderivative_residual(0.2, 0.5, form="bogus")
+
+    def test_nonconverged_quadrature_scores_nan(self, monkeypatch):
+        # an unconverged quadrature is a NaN sample, as an unconverged P_nu sum is
+        quad = verify.adaptive_quad
+        monkeypatch.setattr(verify, "adaptive_quad",
+                            lambda *args: quad(*args)._replace(converged=False))
+        assert math.isnan(dilog_antiderivative_residual(0.2, 0.5))
+        assert math.isnan(li2_ratio_antiderivative_residual(0.2, 0.5, form="log"))
+        grid = GridSpec(0.1, 0.9, 9)
+        r = check_dilog_antiderivative(grid)
+        assert not r.passed and r.samples == 8
+        assert math.isnan(r.max_residual) and math.isnan(r.mean_residual)
+        assert r.argmax_location == 0.5 * (grid.points()[0] + grid.points()[1])
 
     def test_log_form_spots(self):
         for a, b in ((0.2, 0.5), (0.3, 0.7), (0.25, 0.75)):
