@@ -2,6 +2,11 @@
 
 Everything in this package is a pure function of its arguments; there is no
 shared mutable state, so concurrent calls are safe by construction.
+
+The quadrature's 21-point rule is compiled once, at import, into
+straight-line code, as `polylog._compile_horner` compiles its tables.  Its
+sums run left to right, so its bits do not depend on the interpreter's
+``sum()``, which sums floats compensated since Python 3.12.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ import heapq
 import math
 from collections import namedtuple
 from functools import partial
-from operator import mul
 from typing import Callable
 
 __all__ = ["DomainError", "EvalResult", "adaptive_quad"]
@@ -90,22 +94,38 @@ _W21 = _WK + _WK[-2::-1]
 _W10 = _WG + _WG[::-1]
 
 
-def _gk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
-    """The 21-point Kronrod value of the integral over [a, b], QUADPACK's
-    qk21 error estimate for it, and the rounding floor 50 EPS resabs below
-    which that estimate is never put."""
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    fv = [f(c + h * x) for x in _X21]
-    kronrod = sum(map(mul, _W21, fv))
-    err = abs(h * (kronrod - sum(map(mul, _W10, fv[1::2]))))
-    mean = 0.5 * kronrod
-    resasc = abs(h) * sum(map(mul, _W21, [abs(y - mean) for y in fv]))
-    resabs = abs(h) * sum(map(mul, _W21, map(abs, fv)))
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    # max keeps a NaN err because it comes first
-    floor = 50.0 * EPS * resabs
-    return h * kronrod, max(err, floor), floor
+def _compile_gk21():
+    """Build ``_gk21(f, a, b)``: the 21-point Kronrod value of the integral
+    over [a, b], QUADPACK's qk21 error estimate for it, and the rounding
+    floor 50 EPS resabs below which that estimate is never put.
+
+    The code calls f at the ascending nodes, then writes each sum out as
+    0 + w_0 f_0 + w_1 f_1 + ... with the weights' reprs, which is the order
+    of ``sum()`` before Python 3.12."""
+    fs = [f"f{i}" for i in range(21)]
+
+    def dot(weights, terms):
+        return "0" + "".join(f" + {w!r} * {t}" for w, t in zip(weights, terms))
+
+    lines = [
+        "c, h = 0.5 * (a + b), 0.5 * (b - a)",
+        *(f"{y} = f(c + h * {x!r})" for y, x in zip(fs, _X21)),
+        f"kronrod = {dot(_W21, fs)}",
+        f"err = abs(h * (kronrod - ({dot(_W10, fs[1::2])})))",
+        "mean = 0.5 * kronrod",
+        f"resasc = abs(h) * ({dot(_W21, [f'abs({y} - mean)' for y in fs])})",
+        f"resabs = abs(h) * ({dot(_W21, [f'abs({y})' for y in fs])})",
+        "if resasc != 0.0 and err != 0.0:",
+        "    err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)",
+        "floor = 50.0 * EPS * resabs",
+        "return h * kronrod, max(err, floor), floor",  # max keeps a NaN err: it comes first
+    ]
+    namespace = {"EPS": EPS}
+    exec("def _gk21(f, a, b):\n    " + "\n    ".join(lines), namespace)
+    return namespace["_gk21"]
+
+
+_gk21 = _compile_gk21()
 
 
 def adaptive_quad(f: Callable[[float], float], a: float, b: float, tol: float) -> EvalResult:

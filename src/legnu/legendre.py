@@ -226,6 +226,12 @@ def _maclaurin(nu: float, z: float, order: int, known: dict) -> list[float]:
     return sums
 
 
+# the oracle's factors: sqrt(2)/pi, and 2 cos(x + n pi/2) as (trig, sign) for
+# n = 0 .. 3, with x = phi/2
+_ORACLE_SCALE = math.sqrt(2.0) / math.pi
+_ORACLE_TRIG = ((math.cos, 2.0), (math.sin, -2.0), (math.cos, -2.0), (math.sin, 2.0))
+
+
 def nu_derivative_oracle(z: float, order: int) -> EvalResult:
     """Degree-derivative of P_nu(z) at degree 0 by quadrature.
 
@@ -269,8 +275,7 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
         delta = 2.0 * math.asin(sqrt(0.5 * (1.0 + z)))
         theta = math.pi - delta
         base, step = delta, 1.0  # the same sine as sin(delta + u)
-    # 2 cos(x + n pi/2) for n = 0 .. 3, with x = phi/2
-    trig, sign = ((math.cos, 2.0), (sin, -2.0), (math.cos, -2.0), (sin, 2.0))[order]
+    trig, sign = _ORACLE_TRIG[order]
 
     # dphi / sqrt(cos(phi) - cos(theta)) in t; G10-K21 never samples t = 0,
     # where it tends to 2 / sqrt(sin(theta)) dt
@@ -280,5 +285,4 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
         return sign * phi**order * trig(0.5 * phi) * t / sqrt(2.0 * sin(base + step * u) * sin(u))
 
     q = adaptive_quad(integrand, 0.0, math.sqrt(theta), 1e-12 * max(1.0, theta**order))
-    scale = math.sqrt(2.0) / math.pi
-    return _result((scale * q.value, scale * q.abs_err_est, q.converged))
+    return _result((_ORACLE_SCALE * q.value, _ORACLE_SCALE * q.abs_err_est, q.converged))

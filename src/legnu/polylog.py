@@ -29,7 +29,8 @@ ZETA3 = 1.2020569031595942854
 
 def _compile_horner(coeffs: tuple[float, ...]):
     """y -> sum c_k y^k by Horner's rule from the top term, as one expression
-    of the floats' reprs, which round-trip: bit for bit the loop."""
+    of the floats' reprs, which round-trip: bit for bit the loop.
+    `core._compile_gk21` compiles the quadrature rule the same way."""
     body = repr(coeffs[-1])
     for c in coeffs[-2::-1]:
         body = f"({body}) * y + {c!r}"
