@@ -97,11 +97,16 @@ def _p_series(nu: float, zs) -> list[EvalResult]:
     rounding allowance EPS sum|c_k u^k| (1 + sqrt(m)), a heuristic while
     sums near z = -1 run to thousands of terms; the worst case,
     m EPS sum|c_k u^k|, replaces it once they are about 50 terms long.
-    With more than one argument the coefficients c_1, c_2, ... are computed
-    once: the first sums fill a table that later sums read, extending it
-    when they need more terms.  One argument keeps no table, since its sum
-    alone can run to the term cap and no later sum would read it.  Each
-    result is the same bit for bit whichever arguments precede it."""
+    Each sum runs two loops.  With more than one argument the coefficients
+    c_1, c_2, ... are computed once: the first loop reads the table that
+    earlier sums filled and the second runs the recurrence past its end,
+    extending it.  One argument keeps no table, since its sum alone can run
+    to the term cap and no later sum would read it; it runs only the second
+    loop.  The first loop tests |term| <= SERIES_TOL sum|c_k u^k| before the
+    stop itself: running float sums obey |fl sum t| <= fl sum|t|, rounding
+    to nearest being monotone and odd, so the pre-test is false whenever the
+    stop test is, and moves no stop.  Each result is the same bit for bit
+    whichever arguments precede it."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
     past = max(nu, -nu - 1.0)  # r_j lies in (0, 1) for every j > past
@@ -111,25 +116,31 @@ def _p_series(nu: float, zs) -> list[EvalResult]:
     for z in zs:
         u = 0.5 * (1.0 - z)
         total = abs_total = upow = coeff = 1.0
-        n = len(table)  # c_1 .. c_n are read; later ones run the recurrence
-        for k in range(MAX_TERMS):
-            if k < n:
-                coeff = table[k]
-            else:
+        for m, coeff in enumerate(table, 1):  # c_m read from the table
+            upow *= u
+            term = coeff * upow
+            total += term
+            size = abs(term)
+            abs_total += size
+            if size <= SERIES_TOL * abs_total and size <= SERIES_TOL * abs(total) and m > past:
+                break
+        else:
+            for k in range(len(table), MAX_TERMS):  # c_m by the recurrence, m = k + 1
                 coeff *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
                 if keep:
                     table.append(coeff)
-            upow *= u
-            term = coeff * upow  # c_m u^m with m = k + 1
-            total += term
-            abs_total += abs(term)
-            if abs(term) <= SERIES_TOL * abs(total) and k + 1 > past:
-                tail = abs(term) * u / (1.0 - u)
-                out.append(EvalResult(
-                    total, tail + EPS * abs_total * (1.0 + math.sqrt(k + 1.0)), True))
-                break
-        else:
-            out.append(EvalResult(total, math.inf, False))
+                upow *= u
+                term = coeff * upow
+                total += term
+                abs_total += abs(term)
+                if abs(term) <= SERIES_TOL * abs(total) and k + 1 > past:
+                    m = k + 1
+                    break
+            else:
+                out.append(_result((total, math.inf, False)))
+                continue
+        tail = abs(term) * u / (1.0 - u)
+        out.append(_result((total, tail + EPS * abs_total * (1.0 + math.sqrt(m)), True)))
     return out
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.special import lpmv
 
-from legnu import legendre
+from legnu import legendre, verify
 from legnu.core import DomainError
 from legnu.legendre import (
     d2p_dnu2_0,
@@ -21,6 +21,7 @@ from legnu.legendre import (
     nu_derivative_oracle,
 )
 from legnu.polylog import dilog
+from legnu.verify import GridSpec
 
 # closed form ln(2)^2 - pi^2/6 for the order-2 derivative at z = 0
 D2P_AT_ZERO = -1.1644810529300251
@@ -156,9 +157,19 @@ def test_series_bits_are_pinned_for_nonnegative_arguments(nu, z, value, err):
 # add -0.99999, where the term cap is reached and the estimate is infinite
 _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0.99, 1.0))
 
+# the 505 stencil points of the suite's ode_base check, in the order it sums them
+_ODE_BASE_POINTS = [z + k * verify._ODE_STEP for z in GridSpec(-0.9, 0.9, 101).points()
+                    for k in (-2, -1, 0, 1, 2)]
+
 
 @settings(deadline=None)
-@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=8))
+@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=40))
+@example(0.5, _ODE_BASE_POINTS)
+# a read term under the tolerance at an index m <= past must not stop the sum
+@example(2.5, [-0.9, 1.0 - 1e-9])
+@example(-4.2, [-0.9, 1.0 - 1e-9])
+# the term cap is reached while extending the table, then again while reading it
+@example(0.5, [-0.99999, -0.99999])
 @example(0.0, [0.3, 1.0, -0.9, 0.3])
 @example(1.0, [-0.5, -0.99999, 0.25])
 @example(3.0, [0.9, -0.9, 1.0])
@@ -169,8 +180,25 @@ _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0
 def test_p_series_is_legendre_p_at_each_argument(nu, zs):
     # a sum that reads the table built by earlier arguments, and extends it
     # when it needs more terms, gives what the same sum alone (which keeps no
-    # table) gives, bit for bit, the non-converged return at the term cap included
+    # table) gives, bit for bit, the non-converged return at the term cap included;
+    # one argument never runs the stop pre-test, so this shows it moves no stop
     assert legendre._p_series(nu, zs) == [legendre_p(nu, z) for z in zs]
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=50))
+@example([-1.0, 2.0**-53, -(2.0**-53)])
+@example([-1.0, 5e-324, 1.0 - 2.0**-53])
+@example([1e300, -1e300, -1.0])
+def test_running_sum_is_bounded_by_running_sum_of_sizes(xs):
+    # |fl(t_0 + ... + t_m)| <= fl(|t_0| + ... + |t_m|) after every addition, since
+    # rounding to nearest is monotone and odd: `_p_series`'s cheap pre-test on the
+    # sum of sizes is false whenever its stop test on the sum is
+    total = abs_total = 1.0
+    for x in xs:
+        total += x
+        abs_total += abs(x)
+        assert abs(total) <= abs_total
+        assert legendre.SERIES_TOL * abs(total) <= legendre.SERIES_TOL * abs_total
 
 
 @pytest.mark.parametrize("nu, zs, match", [

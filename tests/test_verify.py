@@ -509,7 +509,31 @@ class TestIntegralIdentities:
             assert fine.max_residual <= 2.0 * base.max_residual + 1e-15
 
 
+# every default report as (id, samples, passed, and the float.hex of the max,
+# the mean and the argmax); ode_base's mean is an fsum over residuals built
+# from all 505 of its P_1/2 sums, so a change in the bits of any one shows here
+_RUN_ALL_BITS = [
+    ("ode_base", 101, True,
+     "0x1.4198c34000000p-27", "0x1.79b36cbe93029p-30", "-0x1.70a3d70a3d708p-3"),
+    ("ode_deriv2", 101, True,
+     "0x1.2690914000000p-28", "0x1.d6e6a81958b68p-31", "-0x1.70a3d70a3d708p-4"),
+    ("ode_deriv3", 101, True,
+     "0x1.2b46ec0000000p-23", "0x1.20461058b67ecp-27", "-0x1.ccccccccccccdp-1"),
+    ("euler_reflection", 101, True,
+     "0x1.4000000000000p-52", "0x1.d9958b67ebb90p-54", "0x1.f2ba9d1f60179p-5"),
+    ("dilog_antiderivative", 10, True,
+     "0x1.4000000000000p-52", "0x1.7d33333333333p-54", "0x1.aed916872b021p-1"),
+    ("li2_over_1mz_integral", 13, True,
+     "0x1.0000000000000p-50", "0x1.33b13b13b13b1p-52", "0x1.cf5c28f5c28f6p-1"),
+]
+
+
 class TestRunAll:
+    def test_default_run_is_pinned_bit_for_bit(self):
+        assert [(r.identity_id, r.samples, r.passed, r.max_residual.hex(),
+                 r.mean_residual.hex(), r.argmax_location.hex())
+                for r in run_all()] == _RUN_ALL_BITS
+
     def test_default_run(self):
         reports = run_all()
         assert [r.identity_id for r in reports] == list(IDENTITY_IDS)
