@@ -65,16 +65,6 @@ def _print_table(fmt: str, records: list[dict]) -> None:
     (_print_csv if fmt == "csv" else _print_pretty)(list(records[0]), rows)
 
 
-def _shifted_z_start(z_start: float) -> float:
-    """The grid start is exclusive at -1; forgive and shift instead of erroring."""
-    if z_start <= -1.0:
-        shifted = -1.0 + 1e-9
-        print(f"warning: z-start {z_start!r} is outside (-1, 1]; shifted to {shifted!r}",
-              file=sys.stderr)
-        return shifted
-    return z_start
-
-
 def _parse_targets(raw: list[str] | None) -> list[str]:
     names = []
     for item in raw or ["p"]:
@@ -130,7 +120,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_tabulate(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.what)
-    grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
+    grid = GridSpec(args.z_start, args.z_end, args.count, args.spacing)
     records = [_row_values(z, targets, args.nu, args.order) for z in grid.points()]
     _print_table(args.format, records)
     return _exit_code(records)
@@ -170,7 +160,7 @@ def _cmd_truncation_study(args: argparse.Namespace) -> int:
             f"degree grid must lie within [-0.5, 0.5], got [{args.nu_start}, {args.nu_end}]"
         )
     nu_grid = GridSpec(args.nu_start, args.nu_end, args.nu_count)
-    z_grid = GridSpec(_shifted_z_start(args.z_start), args.z_end, args.count, args.spacing)
+    z_grid = GridSpec(args.z_start, args.z_end, args.count, args.spacing)
     zs = z_grid.points()
     derivs = [{k: _NU_DERIVATIVES[k](z) for k in (1, 2, 3)} for z in zs]
 

@@ -35,7 +35,7 @@ from collections import namedtuple
 from typing import Iterable, Mapping
 
 from .core import DomainError, _check_tolerance, adaptive_quad
-from .legendre import _NU_DERIVATIVES, _check_degree, _p_series, d3p_dnu3_0
+from .legendre import _NU_DERIVATIVES, _p_series, d3p_dnu3_0
 from .polylog import PI2_OVER_6, dilog, trilog
 
 __all__ = [
@@ -203,15 +203,13 @@ def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) ->
     the identity fails.  Within [-0.9, 0.9] none is expected: the stencils
     keep u = (1 - z)/2 <= 0.9506, and past the index from which
     `_p_series` proves its stop each term is below u times the one before.
+    A bad tolerance fails first, then the grid, then the degree, which
+    `_p_series` checks before any stencil point.
     """
     tolerance = _tolerance("ode_base", tolerance)
-
-    def p_values(zs):
-        _check_degree(nu)  # after the grid, before any series work
-        # one coefficient table for every point
-        return [e.value if e.converged else math.nan for e in _p_series(nu, zs)]
-
-    return _check_ode("ode_base", p_values, lambda z, f0: nu * (nu + 1.0) * f0, grid, tolerance)
+    return _check_ode("ode_base",
+                      lambda zs: [e.value if e.converged else math.nan for e in _p_series(nu, zs)],
+                      lambda z, f0: nu * (nu + 1.0) * f0, grid, tolerance)
 
 
 def _check_ode_closed_form(order: int, grid: GridSpec, tolerance: float) -> IdentityReport:

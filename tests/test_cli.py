@@ -153,13 +153,6 @@ class TestTabulate:
         assert out == ""
         assert "no target given" in err
 
-    def test_z_start_shift_warns(self, capsys):
-        code, out, err = run_cli(capsys, "tabulate", "--z-start", "-1", "--z-end", "0",
-                                 "--count", "2", "--what", "d2")
-        assert code == 0
-        assert "shifted" in err
-        assert float(out.splitlines()[1].split(",")[0]) == -1.0 + 1e-9
-
     def test_nonconverged_rows_are_marked(self, capsys):
         # both grid points sit so close to -1 that the series hits its term
         # cap; values are still printed, the status column flags them, and
@@ -420,6 +413,21 @@ class TestTruncationStudy:
         code, _, err = run_cli(capsys, "truncation-study", "--nu-start", "-0.6",
                                "--nu-end", "0.1")
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["tabulate", "truncation-study"])
+@pytest.mark.parametrize("grid", [
+    ("--z-start", "-1"),
+    ("--z-start", "-2"),
+    ("--z-start", "-1", "--z-end", "-0.9999999999", "--count", "2"),
+])
+def test_z_start_outside_domain_is_one_error_line(capsys, command, grid):
+    # a start at or below -1 is not moved: its first grid point fails the
+    # library's own argument check, with nothing printed before it
+    code, out, err = run_cli(capsys, command, *grid)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: argument must lie in (-1, 1], got {float(grid[1])}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -246,9 +246,15 @@ class TestOdeChecks:
         (math.nan, GridSpec(-0.9, 0.9, 11), None, "^degree"),
     ])
     def test_base_errors_come_before_any_series_work(self, monkeypatch, nu, grid, tol, match):
-        # a bad tolerance first, then a grid outside +-0.9, then a bad degree
+        # a bad tolerance first, then a grid outside +-0.9, both before the
+        # series is called; then a bad degree, which the real series rejects
+        # before it looks at any stencil point
         calls = []
-        monkeypatch.setattr(verify, "_p_series", lambda *args: calls.append(args))
+        if match == "^degree":
+            check = legendre._check_argument
+            monkeypatch.setattr(legendre, "_check_argument", lambda z: calls.append(z) or check(z))
+        else:
+            monkeypatch.setattr(verify, "_p_series", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match=match):
             check_ode_base(nu, grid, tol)
         assert calls == []
