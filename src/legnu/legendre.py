@@ -168,8 +168,7 @@ def d2p_dnu2_0(z: float) -> float:
 def d3p_dnu3_0(z: float) -> float:
     """Third degree-derivative of P_nu(z) at degree 0.
 
-    With v = (z+1)/2:
-    12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
+    With v = (z+1)/2: 12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
     which vanishes at z = 1 where v = 1.  For z <= 1/2 the closed form is
     evaluated through `trilog` and `dilog` at v <= 3/4 (above v = 1/2 both
     sum their expansion about 1).  Its terms cancel as z -> 1, so for
@@ -178,7 +177,9 @@ def d3p_dnu3_0(z: float) -> float:
     s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
     series in s, 3 S^2 - S^3/2 + 6 sum_k B_(2k+2) S^(2k+4) /
     ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln(4/3), which is summed over its
-    nonzero terms by Horner's rule in S^2, like the kernels.
+    nonzero terms by Horner's rule in S^2, like the kernels.  That series is
+    the closed form's own expansion in mu = ln v = -S, with the cancelling
+    zeta(3), pi^2 mu and ln(-mu) terms removed.
     """
     z = _check_argument(z)
     if z > 0.5:
@@ -205,10 +206,6 @@ _NU_DERIVATIVES = (
 )
 
 
-#: 1 .. n for each truncation order n, a table since a range per call costs more
-_UP_TO = ((), (1,), (1, 2), (1, 2, 3))
-
-
 def maclaurin_p(nu: float, z: float, order: int = 3) -> float:
     """Degree-expansion approximant of P_nu(z) about degree 0.
 
@@ -233,16 +230,16 @@ def _maclaurin(nu: float, z: float, order: int, known: dict) -> list[float]:
         raise DomainError(f"truncation order must be an int in 0..3, got {order!r}")
     s = 1.0
     sums = [s]
-    for k, c in zip(_UP_TO[order], (nu, nu * nu / 2.0, nu**3 / 6.0)):
+    for k, c in enumerate((nu, nu * nu / 2.0, nu**3 / 6.0)[:order], 1):
         s += c * (known[k] if k in known else _NU_DERIVATIVES[k](z))
         sums.append(s)
     return sums
 
 
 # the oracle's factors: sqrt(2)/pi, and 2 cos(x + n pi/2) as (trig, sign) for
-# n = 0 .. 3, with x = phi/2
+# n = 1 .. 3 at index n - 1, with x = phi/2
 _ORACLE_SCALE = math.sqrt(2.0) / math.pi
-_ORACLE_TRIG = ((math.cos, 2.0), (math.sin, -2.0), (math.cos, -2.0), (math.sin, 2.0))
+_ORACLE_TRIG = ((math.sin, -2.0), (math.cos, -2.0), (math.sin, 2.0))
 
 
 def nu_derivative_oracle(z: float, order: int) -> EvalResult:
@@ -288,7 +285,7 @@ def nu_derivative_oracle(z: float, order: int) -> EvalResult:
         delta = 2.0 * math.asin(sqrt(0.5 * (1.0 + z)))
         theta = math.pi - delta
         base, step = delta, 1.0  # the same sine as sin(delta + u)
-    trig, sign = _ORACLE_TRIG[order]
+    trig, sign = _ORACLE_TRIG[order - 1]
 
     # dphi / sqrt(cos(phi) - cos(theta)) in t; G10-K21 never samples t = 0,
     # where it tends to 2 / sqrt(sin(theta)) dt

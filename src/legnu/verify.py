@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .core import DomainError, _check_tolerance, adaptive_quad
@@ -72,7 +73,7 @@ _SUITE = {
 }
 
 IDENTITY_IDS = tuple(_SUITE)
-DEFAULT_TOLERANCES = {name: tol for name, (tol, _) in _SUITE.items()}
+DEFAULT_TOLERANCES = MappingProxyType({name: tol for name, (tol, _) in _SUITE.items()})
 
 # ODE stencil step: coarse enough for rounding in P_nu at |nu| = 5, fine
 # enough for the order-3 closed form's truncation near z = -0.9.
@@ -283,13 +284,15 @@ def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> 
     return abs(q.value - (antideriv(b) - antideriv(a))) if q.converged else math.nan
 
 
-def dilog_antiderivative_residual(a: float, b: float, tol: float = 1e-10) -> float:
+def dilog_antiderivative_residual(a: float, b: float,
+                                  tol: float = DEFAULT_TOLERANCES["dilog_antiderivative"]) -> float:
     """Quadrature-vs-antiderivative residual for Li2 on [a, b] in [0, 0.999]:
     exactly 0.0 if a == b; `DomainError` unless ``tol`` is positive and finite."""
     return _quad_vs_antideriv(lambda t: dilog(t).value, _li2_antideriv, a, b, tol)
 
 
-def li2_ratio_antiderivative_residual(a: float, b: float, tol: float = 1e-9,
+def li2_ratio_antiderivative_residual(a: float, b: float,
+                                      tol: float = DEFAULT_TOLERANCES["li2_over_1mz_integral"],
                                       form: str = "reduced") -> float:
     """Quadrature-vs-antiderivative residual for Li2(t)/(1-t) on [a, b].
 

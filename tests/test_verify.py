@@ -2,6 +2,7 @@
 checks, the suite driver, and report serialization."""
 
 import ast
+import inspect
 import math
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import legnu
 from legnu import legendre, verify
 from legnu.core import DomainError
 from legnu.legendre import legendre_p
@@ -419,6 +421,11 @@ class TestIntegralIdentities:
         assert dilog_antiderivative_residual(0.2, 0.9) <= 1e-10
         assert li2_ratio_antiderivative_residual(0.1, 0.5) <= 1e-9
         assert li2_ratio_antiderivative_residual(0.3, 0.9) <= 1e-9
+        # the defaults are the suite's, not copies of them
+        for helper, identity_id in ((dilog_antiderivative_residual, "dilog_antiderivative"),
+                                    (li2_ratio_antiderivative_residual, "li2_over_1mz_integral")):
+            tol = inspect.signature(helper).parameters["tol"].default
+            assert tol == DEFAULT_TOLERANCES[identity_id]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("a, b", [(0.2, 0.5), (0.3, 0.3)])
@@ -645,3 +652,15 @@ class TestSerialization:
 
     def test_default_tolerances_cover_all_identities(self):
         assert set(DEFAULT_TOLERANCES) == set(IDENTITY_IDS)
+        # a read-only view of the suite's defaults: no caller can reset a gate
+        defaults = {name: tol for name, (tol, _) in verify._SUITE.items()}
+        assert legnu.DEFAULT_TOLERANCES is DEFAULT_TOLERANCES
+        with pytest.raises(TypeError):
+            legnu.DEFAULT_TOLERANCES["ode_base"] = 1.0
+        with pytest.raises(TypeError):
+            del DEFAULT_TOLERANCES["ode_deriv3"]
+        assert DEFAULT_TOLERANCES == defaults and list(DEFAULT_TOLERANCES) == list(IDENTITY_IDS)
+        assert [(r.identity_id, r.tolerance) for r in run_all()] == list(defaults.items())
+        copy = dict(DEFAULT_TOLERANCES)
+        copy["ode_base"] = 1.0
+        assert DEFAULT_TOLERANCES["ode_base"] == defaults["ode_base"]
