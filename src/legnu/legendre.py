@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 
 from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
-from .polylog import _LI2_ODD, ZETA3, _compile_horner, dilog, trilog
+from .polylog import _LI2_ODD, ZETA3, _compile_horner, _li3_mu, _li3_t, dilog
 
 __all__ = [
     "legendre_p",
@@ -170,8 +170,10 @@ def d3p_dnu3_0(z: float) -> float:
 
     With v = (z+1)/2: 12 Li3(v) - 6 ln(v) Li2(v) - pi^2 ln(v) - 12 zeta(3),
     which vanishes at z = 1 where v = 1.  For z <= 1/2 the closed form is
-    evaluated through `trilog` and `dilog` at v <= 3/4 (above v = 1/2 both
-    sum their expansion about 1).  Its terms cancel as z -> 1, so for
+    evaluated at v <= 3/4: Li2 by `dilog`, and Li3 by `trilog`'s own branch
+    series in the variable d3 holds, mu = ln v above v = 1/2 (the ln v of the
+    closed form; `trilog` would take it again) and t = -ln(1-v) at or below.
+    Its terms cancel as z -> 1, so for
     z > 1/2 the first integral is summed instead: with w = (1-z)/2, 6 times
     the integral of Li2(t)/(1-t) over [0, w].  The substitution
     s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
@@ -187,8 +189,9 @@ def d3p_dnu3_0(z: float) -> float:
         return s * s * (3.0 - s * (0.5 - 6.0 * s * _li2_integral(s * s))) + 0.0
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
+    li3 = _li3_mu(lv) if v > 0.5 else _li3_t(-math.log1p(-v))
     return (
-        12.0 * trilog(v).value
+        12.0 * li3
         - 6.0 * lv * dilog(v).value
         - math.pi * math.pi * lv
         - 12.0 * ZETA3

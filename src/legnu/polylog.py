@@ -10,6 +10,8 @@ binary64 precision.
 Each table is compiled once, at import, into one Horner expression of its
 floats' reprs (as `namedtuple` writes its methods), bit for bit the loop over
 it; results skip the named tuple's Python-level ``__new__`` via `core._result`.
+Li3's two tables are compiled inside its whole branch expressions, functions
+of t and of mu that `legendre.d3p_dnu3_0` shares with `trilog`.
 """
 
 from __future__ import annotations
@@ -27,14 +29,25 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 ZETA3 = 1.2020569031595942854
 
 
-def _compile_horner(coeffs: tuple[float, ...]):
-    """y -> sum c_k y^k by Horner's rule from the top term, as one expression
-    of the floats' reprs, which round-trip: bit for bit the loop.
-    `core._compile_gk21` compiles the quadrature rule the same way."""
+def _horner(coeffs: tuple[float, ...], y: str = "y") -> str:
+    """Source of sum c_k y^k by Horner's rule from the top term, in the
+    floats' reprs, which round-trip: bit for bit the loop."""
     body = repr(coeffs[-1])
     for c in coeffs[-2::-1]:
-        body = f"({body}) * y + {c!r}"
-    return eval(f"lambda y: {body}", {})
+        body = f"({body}) * {y} + {c!r}"
+    return body
+
+
+def _compile(params: str, *lines: str, **names):
+    """``def f(params)`` with body ``lines`` over the globals ``names``, as
+    `core._compile_gk21` compiles the quadrature rule."""
+    exec(f"def f({params}):\n    " + "\n    ".join(lines), names)
+    return names["f"]
+
+
+def _compile_horner(coeffs: tuple[float, ...]):
+    """y -> sum c_k y^k, compiled from `_horner`'s source."""
+    return _compile("y", f"return {_horner(coeffs)}")
 
 
 #: Li2(x) = t - t^2/4 + sum_k B_(2k+2) t^(2k+3) / (2k+3)! with t = -ln(1-x)
@@ -72,8 +85,15 @@ _LI3_NEAR1 = (
     1.1482216343327454e-09, -1.5815724990809165e-11, 2.4195009792525154e-13,
     -3.982897776989488e-15,
 )
-_li2_odd, _li3, _li2_near1, _li3_near1 = map(_compile_horner,
-                                             (_LI2_ODD, _LI3, _LI2_NEAR1, _LI3_NEAR1))
+_li2_odd, _li2_near1 = map(_compile_horner, (_LI2_ODD, _LI2_NEAR1))
+
+#: `trilog`'s two branches compiled whole, Li3 from t = -ln(1-x) for x <= 1/2
+#: and from mu = ln(x) for 1/2 < x < 1; `legendre.d3p_dnu3_0` calls them too.
+_li3_t = _compile("t", f"return t * ({_horner(_LI3, 't')})")
+_li3_mu = _compile(
+    "mu", "y = mu * mu",
+    f"return {ZETA3!r} + mu * ({PI2_OVER_6!r} + mu * (0.75 - 0.5 * log(-mu)"
+    f" - mu * ({1.0 / 12.0!r} - mu * ({_horner(_LI3_NEAR1)}))))", log=math.log)
 
 # Error bounds, with EPS one ulp of 1.  At or below 1/2, 0 <= t <= ln 2 and
 # sum_n |c_n| (ln 2)^n <= 1.31 over the coefficient c_n of t^(n+1) in either
@@ -154,14 +174,10 @@ def trilog(x: float) -> EvalResult:
     x = _check_unit_interval(x)
     if x <= 0.5:
         t = -math.log1p(-x)
-        return _result((t * _li3(t), _BELOW_HALF_ERR * t, True))
+        return _result((_li3_t(t), _BELOW_HALF_ERR * t, True))
     if x == 1.0:
         return _result((ZETA3, EPS * ZETA3, True))
-    mu = math.log(x)
-    value = ZETA3 + mu * (PI2_OVER_6 + mu * (
-        0.75 - 0.5 * math.log(-mu) - mu * (1.0 / 12.0 - mu * _li3_near1(mu * mu))
-    ))
-    return _result((value, _ABOVE_HALF_ERR, True))
+    return _result((_li3_mu(math.log(x)), _ABOVE_HALF_ERR, True))
 
 
 def zeta3() -> float:

@@ -284,21 +284,24 @@ def _quad_vs_antideriv(integrand, antideriv, a: float, b: float, tol: float) -> 
     return abs(q.value - (antideriv(b) - antideriv(a))) if q.converged else math.nan
 
 
-def dilog_antiderivative_residual(a: float, b: float,
-                                  tol: float = DEFAULT_TOLERANCES["dilog_antiderivative"]) -> float:
+def dilog_antiderivative_residual(
+        a: float, b: float,
+        tolerance: float = DEFAULT_TOLERANCES["dilog_antiderivative"]) -> float:
     """Quadrature-vs-antiderivative residual for Li2 on [a, b] in [0, 0.999]:
-    exactly 0.0 if a == b; `DomainError` unless ``tol`` is positive and finite."""
-    return _quad_vs_antideriv(lambda t: dilog(t).value, _li2_antideriv, a, b, tol)
+    exactly 0.0 if a == b; `DomainError` unless ``tolerance`` is positive and
+    finite."""
+    return _quad_vs_antideriv(lambda t: dilog(t).value, _li2_antideriv, a, b, tolerance)
 
 
-def li2_ratio_antiderivative_residual(a: float, b: float,
-                                      tol: float = DEFAULT_TOLERANCES["li2_over_1mz_integral"],
-                                      form: str = "reduced") -> float:
+def li2_ratio_antiderivative_residual(
+        a: float, b: float,
+        tolerance: float = DEFAULT_TOLERANCES["li2_over_1mz_integral"],
+        form: str = "reduced") -> float:
     """Quadrature-vs-antiderivative residual for Li2(t)/(1-t) on [a, b].
 
     ``form`` selects the reduced antiderivative or the log form, which also
     needs both endpoints > 0.  Endpoints above 0.999 are rejected (the
-    antiderivative's logarithms degrade there); ``tol`` and a == b are as
+    antiderivative's logarithms degrade there); ``tolerance`` and a == b are as
     for `dilog_antiderivative_residual`.
     """
     if form not in ("reduced", "log"):
@@ -308,7 +311,7 @@ def li2_ratio_antiderivative_residual(a: float, b: float,
     return _quad_vs_antideriv(
         lambda t: dilog(t).value / (1.0 - t),
         lambda t: _li2_ratio_antideriv(t, form),
-        a, b, tol,
+        a, b, tolerance,
     )
 
 
@@ -322,25 +325,26 @@ def _intervals(identity_id: str, grid: GridSpec) -> list[tuple[float, float]]:
     return list(zip(pts[:-1], pts[1:]))
 
 
-def check_dilog_antiderivative(grid: GridSpec, tol: float | None = None) -> IdentityReport:
+def check_dilog_antiderivative(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Integral of Li2 over consecutive grid intervals vs its antiderivative."""
-    tol = _tolerance("dilog_antiderivative", tol)
+    tolerance = _tolerance("dilog_antiderivative", tolerance)
     return _report("dilog_antiderivative", (
-        (0.5 * (a + b), dilog_antiderivative_residual(a, b, tol))
+        (0.5 * (a + b), dilog_antiderivative_residual(a, b, tolerance))
         for a, b in _intervals("dilog_antiderivative", grid)
-    ), tol)
+    ), tolerance)
 
 
-def check_li2_over_1mz_integral(grid: GridSpec, tol: float | None = None) -> IdentityReport:
+def check_li2_over_1mz_integral(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Integral of Li2(t)/(1-t) over grid intervals vs the reduced
-    antiderivative, plus three fixed log-form spot intervals, all at ``tol``."""
-    tol = _tolerance("li2_over_1mz_integral", tol)
+    antiderivative, plus three fixed log-form spot intervals, all at
+    ``tolerance``."""
+    tolerance = _tolerance("li2_over_1mz_integral", tolerance)
     intervals = _intervals("li2_over_1mz_integral", grid)
     return _report("li2_over_1mz_integral", (
-        (0.5 * (a + b), li2_ratio_antiderivative_residual(a, b, tol, form=form))
+        (0.5 * (a + b), li2_ratio_antiderivative_residual(a, b, tolerance, form=form))
         for form, spans in (("reduced", intervals), ("log", _LOG_FORM_SPOT_INTERVALS))
         for a, b in spans
-    ), tol)
+    ), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from legnu.legendre import (
     maclaurin_p,
     nu_derivative_oracle,
 )
-from legnu.polylog import dilog
+from legnu.polylog import ZETA3, dilog, trilog
 from legnu.verify import GridSpec
 
 # closed form ln(2)^2 - pi^2/6 for the order-2 derivative at z = 0
@@ -264,6 +264,19 @@ def test_d3p_matches_oracle(z):
     assert abs(d3p_dnu3_0(z) - nu_derivative_oracle(z, 3).value) <= 1e-13
 
 
+def test_d3p_up_to_one_half_is_the_trilog_closed_form_bit_for_bit():
+    # d3 takes Li3 from trilog's branch series in its own ln v, not from a
+    # trilog call; the values must stay those of the trilog expression
+    zs = [-1.0 + k / 4000 for k in range(1, 6001)]
+    zs += [0.0, -0.0, 0.5, math.nextafter(0.5, 0.0), -1.0 + 1e-12, math.nextafter(-0.5, 0.0)]
+    for z in zs:
+        v = 0.5 * (z + 1.0)
+        lv = math.log(v)
+        closed = (12.0 * trilog(v).value - 6.0 * lv * dilog(v).value
+                  - math.pi * math.pi * lv - 12.0 * ZETA3) + 0.0
+        assert repr(d3p_dnu3_0(z)) == repr(closed), z
+
+
 def test_maclaurin_trivia():
     assert maclaurin_p(0.3, 0.7, 0) == 1.0
     for order in range(4):
@@ -349,7 +362,7 @@ def test_oracle_is_independent_of_the_series_and_closed_forms(monkeypatch):
         raise AssertionError("the oracle must not call this")
 
     for name in ("legendre_p", "_p_series", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
-                 "dilog", "trilog"):
+                 "dilog", "_li3_t", "_li3_mu"):
         monkeypatch.setattr(legendre, name, forbidden)
     assert [nu_derivative_oracle(z, order) for z in (-0.9, 0.3) for order in (1, 2, 3)] \
         == expected

@@ -424,7 +424,7 @@ class TestIntegralIdentities:
         # the defaults are the suite's, not copies of them
         for helper, identity_id in ((dilog_antiderivative_residual, "dilog_antiderivative"),
                                     (li2_ratio_antiderivative_residual, "li2_over_1mz_integral")):
-            tol = inspect.signature(helper).parameters["tol"].default
+            tol = inspect.signature(helper).parameters["tolerance"].default
             assert tol == DEFAULT_TOLERANCES[identity_id]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
@@ -539,6 +539,35 @@ _RUN_ALL_BITS = [
     ("li2_over_1mz_integral", 13, True,
      "0x1.0000000000000p-50", "0x1.33b13b13b13b1p-52", "0x1.cf5c28f5c28f6p-1"),
 ]
+
+
+# each public check with a small grid of its own; every one takes `tolerance`
+KEYWORD_CALLS = {
+    "ode_base": (check_ode_base, (0.5, GridSpec(-0.5, 0.5, 11))),
+    "ode_deriv2": (check_ode_deriv2, (GridSpec(-0.5, 0.5, 11),)),
+    "ode_deriv3": (check_ode_deriv3, (GridSpec(-0.5, 0.5, 11),)),
+    "euler_reflection": (check_euler_reflection, (GridSpec(0.1, 0.9, 5),)),
+    "dilog_antiderivative": (check_dilog_antiderivative, (GridSpec(0.1, 0.9, 5),)),
+    "li2_over_1mz_integral": (check_li2_over_1mz_integral, (GridSpec(0.1, 0.9, 5),)),
+}
+
+
+@pytest.mark.parametrize("identity_id", list(KEYWORD_CALLS))
+def test_every_check_takes_tolerance_by_keyword(identity_id):
+    check, args = KEYWORD_CALLS[identity_id]
+    r = check(*args, tolerance=0.25)
+    assert r.identity_id == identity_id
+    assert r.tolerance == 0.25 and r.passed
+    assert r == check(*args, 0.25)
+
+
+def test_residual_helpers_take_tolerance_by_keyword():
+    assert dilog_antiderivative_residual(0.1, 0.5, tolerance=1e-9) \
+        == dilog_antiderivative_residual(0.1, 0.5, 1e-9)
+    assert li2_ratio_antiderivative_residual(0.1, 0.5, tolerance=1e-8, form="log") \
+        == li2_ratio_antiderivative_residual(0.1, 0.5, 1e-8, form="log")
+    with pytest.raises(DomainError, match="^antiderivative tolerance must be"):
+        dilog_antiderivative_residual(0.1, 0.5, tolerance=0.0)
 
 
 class TestRunAll:
