@@ -84,7 +84,7 @@ def legendre_p(nu: float, z: float) -> EvalResult:
     return _p_series(nu, (z,))[0]
 
 
-def _p_series(nu: float, zs) -> list[EvalResult]:
+def _p_series(nu: float, zs, table: list[float] | None = None, terms: int = 0) -> list[EvalResult]:
     """P_nu(z) for each z in ``zs``, as in `legendre_p`.
 
     Sums c_k u^k with u = (1-z)/2, c_0 = 1 and c_{j+1} = c_j r_j,
@@ -108,12 +108,19 @@ def _p_series(nu: float, zs) -> list[EvalResult]:
     itself: running float sums obey |fl sum t| <= fl sum|t|, rounding to
     nearest being monotone and odd, so the pre-test is false whenever the
     stop test is, and moves no stop.  Each result is the same bit for bit
-    whichever arguments precede it."""
+    whichever arguments precede it.  A caller's ``table`` of c_1 .. c_n is
+    read and extended in place, as the kept one is, and ``terms`` then makes
+    every sum run at least that many terms, raising past to terms - 1; at
+    z = 1, where u = 0 and every term past c_0 is 0, such a sum only extends
+    the table to ``terms`` coefficients (or `MAX_TERMS`).  `_p_series_du`
+    grows its table so, which keeps the recurrence written once."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
     past = max(nu, -nu - 1.0)  # r_j lies in (0, 1) for every j > past
-    keep = len(zs) > 1
-    table: list[float] = []  # table[k] is c_(k+1)
+    if table is None:
+        keep, table = len(zs) > 1, []  # table[k] is c_(k+1)
+    else:
+        keep, past = True, max(past, terms - 1.0)
     out = []
     for z in zs:
         u = 0.5 * (1.0 - z)
@@ -143,6 +150,69 @@ def _p_series(nu: float, zs) -> list[EvalResult]:
                 continue
         tail = abs(term) * u / (1.0 - u)
         out.append(_result((total, tail + EPS * abs_total * (1.0 + math.sqrt(m)), True)))
+    return out
+
+
+def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float, float]]:
+    """P_nu and its first two derivatives in u = (1-z)/2, for each z in
+    ``zs``, from the series' term-wise derivatives.
+
+    Each entry is (P, P_u, P_uu, A0, A1, A2): the sums of the terms c_k u^k,
+    k c_k u^(k-1) and k (k-1) c_k u^(k-2) of `_p_series`, and the sums of
+    those terms' sizes; a sum cut short at `MAX_TERMS` gives six NaNs.  The
+    three terms share the sign of c_k, so each sum is kept as its positive
+    and its negative part: their sum is its value, their difference its sum
+    of sizes.  All sums read one table of c_1, c_2, ..., doubled where a sum
+    reads its last entry by `_p_series` itself (see its ``terms``), so each
+    coefficient is computed once and the recurrence is written once.  Each
+    stops at its first term with k > max(past, (1+u)/(1-u)), past as in
+    `_p_series`, and |k (k-1) c_k u^(k-2)| <= `SERIES_TOL` A2.  For j >= k the
+    ratios of consecutive terms, r_j u, r_j u (j+1)/j and r_j u (j+1)/(j-1),
+    lie in (0, q] with q = u (k+1)/(k-1) < 1, since r_j lies in (0, 1) there
+    and (j+1)/(j-1) falls with j.  So each tail is at most its sum's last
+    term times q/(1-q), and the last P and P_u terms are u^2/(k (k-1)) and
+    u/(k-1) times the last P_uu term."""
+    nu = _check_degree(nu)
+    zs = [_check_argument(z) for z in zs]
+    past = max(nu, -nu - 1.0)
+    tol = SERIES_TOL
+    table: list[float] = []
+    _p_series(nu, (1.0,), table, 32)
+    out = []
+    for z in zs:
+        u = 0.5 * (1.0 - z)
+        after = max(past, (1.0 + u) / (1.0 - u)) if u < 1.0 else math.inf
+        pos0, pos1, pos2 = 1.0, 0.0, 0.0
+        neg0 = neg1 = neg2 = 0.0
+        low, mid = 0.0, 1.0  # u^(k-2) and u^(k-1); k (k-1) is 0 at k = 1
+        k, n = 0.0, float(len(table))
+        for coeff in table:
+            k += 1.0
+            kc = k * coeff
+            t1 = kc * mid
+            t2 = (k - 1.0) * kc * low
+            low = mid
+            mid *= u
+            t0 = coeff * mid
+            if coeff > 0.0:
+                pos0 += t0
+                pos1 += t1
+                pos2 += t2
+                size = t2
+            else:
+                neg0 += t0
+                neg1 += t1
+                neg2 += t2
+                size = -t2
+            if size <= tol * (pos2 - neg2) and k > after:
+                out.append((pos0 + neg0, pos1 + neg1, pos2 + neg2,
+                            pos0 - neg0, pos1 - neg1, pos2 - neg2))
+                break
+            if k == n:  # the last entry: double the table, which this loop reads on into
+                _p_series(nu, (1.0,), table, 2 * len(table))
+                n = float(len(table))
+        else:
+            out.append((math.nan,) * 6)
     return out
 
 

@@ -13,15 +13,17 @@ grid:
                                 (reduced form, the order-3 first integral)
                                 and its log-form antiderivative.
 
-The three ODE checks share one path.  Differentiating the Legendre
-equation L[P_nu] + nu (nu+1) P_nu = 0, L = (1-z^2) D^2 - 2z D, k times in
-nu at nu = 0 gives L[d_k] + k d_(k-1) + k (k-1) d_(k-2) = 0 for the
-closed forms d_k, with d_0 = 1; the source terms come from that
-recurrence over `legendre`'s table of closed forms.  z-derivatives use
-5-point central stencils, so ODE residuals are finite-difference noise,
-not identity violations; all three take one step, 6e-4, on grids within
-[-0.9, 0.9], where every check meets 1e-6 for |nu| <= 5.  Every sample,
-the log-form spot intervals too, is held to its report's tolerance, so
+The three ODE checks take grids within [-0.9, 0.9].  ``ode_base`` sums
+P_nu and its first two derivatives term by term over P_nu's own series and
+scores the Legendre equation's residual L[P_nu] + nu (nu+1) P_nu,
+L = (1-z^2) D^2 - 2z D, relative to the sum of its three terms' sizes.
+Differentiating the equation k times in nu at nu = 0 gives
+L[d_k] + k d_(k-1) + k (k-1) d_(k-2) = 0 for the closed forms d_k, with
+d_0 = 1; the source terms come from that recurrence over `legendre`'s
+table of closed forms, and L from 5-point central stencils of one step,
+6e-4, so those two residuals are finite-difference noise, not identity
+violations, and meet 1e-6.  Every sample, the log-form spot intervals
+too, is held to its report's tolerance, so
 ``passed == (max_residual <= tolerance)`` always holds.
 
 All checks are deterministic and side-effect-free; a run repeated on the
@@ -36,7 +38,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .core import DomainError, _check_tolerance, adaptive_quad
-from .legendre import _NU_DERIVATIVES, _p_series, d3p_dnu3_0
+from .legendre import _NU_DERIVATIVES, _p_series_du, d3p_dnu3_0
 from .polylog import PI2_OVER_6, dilog, trilog
 
 __all__ = [
@@ -61,7 +63,7 @@ __all__ = [
 #: binding the function object, so wrappers installed on the module globals
 #: are seen.  The base ODE degree is non-polynomial on purpose.
 _SUITE = {
-    "ode_base": (1e-6, lambda tol: check_ode_base(0.5, GridSpec(-0.9, 0.9, 101), tol)),
+    "ode_base": (1e-12, lambda tol: check_ode_base(0.5, GridSpec(-0.9, 0.9, 101), tol)),
     "ode_deriv2": (1e-6, lambda tol: check_ode_deriv2(GridSpec(-0.9, 0.9, 101), tol)),
     "ode_deriv3": (1e-6, lambda tol: check_ode_deriv3(GridSpec(-0.9, 0.9, 101), tol)),
     "euler_reflection":
@@ -75,8 +77,9 @@ _SUITE = {
 IDENTITY_IDS = tuple(_SUITE)
 DEFAULT_TOLERANCES = MappingProxyType({name: tol for name, (tol, _) in _SUITE.items()})
 
-# ODE stencil step: coarse enough for rounding in P_nu at |nu| = 5, fine
-# enough for the order-3 closed form's truncation near z = -0.9.
+# Stencil step of the ode_deriv2 and ode_deriv3 checks: coarse enough for
+# rounding in d2 and d3, fine enough for the order-3 closed form's truncation
+# near z = -0.9.
 _ODE_STEP = 6e-4
 
 # ODE grids are bounded away from +-1 to avoid 1/(1-z^2) amplification.
@@ -171,64 +174,72 @@ def _ode_source(order: int, z: float) -> float:
             + order * (order - 1) * _NU_DERIVATIVES[order - 2](z))
 
 
-def _check_ode(identity_id: str, f, source, grid: GridSpec, tolerance: float) -> IdentityReport:
-    """|(1-z^2) f'' - 2z f' + source(z, f(z))| over the grid, the derivatives
-    by 5-point stencils.  Once the grid is checked, ``f`` is called once with
-    the stencil points z-2h .. z+2h of every grid point z and returns a value
-    for each."""
+def _ode_points(grid: GridSpec) -> list[float]:
+    """The grid's points, once the grid is checked to lie within the ODE window."""
     if grid.start < -_ODE_GRID_LIMIT or grid.end > _ODE_GRID_LIMIT:
         raise DomainError(
             f"ODE residual grids must lie within [-{_ODE_GRID_LIMIT}, {_ODE_GRID_LIMIT}], "
             f"got [{grid.start}, {grid.end}]"
         )
-    points, h = grid.points(), _ODE_STEP
-    values = f([z + k * h for z in points for k in (-2, -1, 0, 1, 2)])
+    return grid.points()
 
-    def residual(z, stencil):
-        fm2, fm1, f0, fp1, fp2 = stencil
+
+def _check_ode(order: int, grid: GridSpec, tolerance: float) -> IdentityReport:
+    """|(1-z^2) d_k'' - 2z d_k' + `_ode_source`(k, z)| for k = ``order`` over
+    the grid, the derivatives by 5-point stencils of step `_ODE_STEP`."""
+    points, h, f = _ode_points(grid), _ODE_STEP, _NU_DERIVATIVES[order]
+
+    def residual(z):
+        fm2, fm1, f0, fp1, fp2 = (f(z + k * h) for k in (-2, -1, 0, 1, 2))
         d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
         d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-        return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + source(z, f0))
+        return abs((1.0 - z * z) * d2 - 2.0 * z * d1 + _ode_source(order, z))
 
-    return _report(identity_id, ((z, residual(z, values[5 * i:5 * i + 5]))
-                                 for i, z in enumerate(points)), tolerance)
+    return _report(f"ode_deriv{order}", ((z, residual(z)) for z in points), tolerance)
 
 
 # ---------------------------------------------------------------------------
 # the six checks
 
 def check_ode_base(nu: float, grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
-    """Residual of the Legendre equation on P_nu over the grid.
+    """Scaled residual of the Legendre equation on P_nu over the grid.
 
-    A sum that did not converge enters as NaN, so its residual is NaN and
-    the identity fails.  Within [-0.9, 0.9] none is expected: the stencils
-    keep u = (1 - z)/2 <= 0.9506, and past the index from which
-    `_p_series` proves its stop each term is below u times the one before.
+    At each grid point `legendre._p_series_du` sums P, P_u and P_uu term by
+    term over P_nu's series in u = (1 - z)/2.  With P' = -P_u/2 and
+    P'' = P_uu/4 the residual (1-z^2) P'' - 2z P' + nu(nu+1) P is divided by
+    the sum of its three terms' sizes, (1-z^2)/4 sum|P_uu terms| +
+    |z| sum|P_u terms| + |nu(nu+1)| sum|P terms|.  That scale is 0 only for
+    nu = 0 or -1, where the residual is exactly 0 and is reported so.  Nothing
+    is differenced, so an error in the series' coefficients shows at its own
+    relative size.  A sum that did not converge enters as NaN, so the
+    identity fails; within [-0.9, 0.9], where u <= 0.95, none is expected.
     A bad tolerance fails first, then the grid, then the degree, which
-    `_p_series` checks before any stencil point.
+    `_p_series_du` checks before any series work.
     """
     tolerance = _tolerance("ode_base", tolerance)
-    return _check_ode("ode_base",
-                      lambda zs: [e.value if e.converged else math.nan for e in _p_series(nu, zs)],
-                      lambda z, f0: nu * (nu + 1.0) * f0, grid, tolerance)
+    points = _ode_points(grid)
+    sums = _p_series_du(nu, points)
+    weight = nu * (nu + 1.0)
 
+    def residual(z, p, pu, puu, a0, a1, a2):
+        w = 0.25 * (1.0 - z * z)
+        r = abs(w * puu + z * pu + weight * p)
+        scale = w * a2 + abs(z) * a1 + abs(weight) * a0
+        return r / scale if scale else r
 
-def _check_ode_closed_form(order: int, grid: GridSpec, tolerance: float) -> IdentityReport:
-    f = _NU_DERIVATIVES[order]
-    return _check_ode(f"ode_deriv{order}", lambda zs: [f(z) for z in zs],
-                      lambda z, _: _ode_source(order, z), grid, tolerance)
+    return _report("ode_base", ((z, residual(z, *s)) for z, s in zip(points, sums)), tolerance)
 
 
 def check_ode_deriv2(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the twice-degree-differentiated equation on the order-2
     closed form: L[d2] + 2 d1 + 2 = 0."""
-    return _check_ode_closed_form(2, grid, _tolerance("ode_deriv2", tolerance))
+    return _check_ode(2, grid, _tolerance("ode_deriv2", tolerance))
 
 
 def check_ode_deriv3(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:
     """Residual of the thrice-degree-differentiated equation on the order-3
     closed form: L[d3] + 3 d2 + 6 d1 = 0."""
-    return _check_ode_closed_form(3, grid, _tolerance("ode_deriv3", tolerance))
+    return _check_ode(3, grid, _tolerance("ode_deriv3", tolerance))
 
 
 def check_euler_reflection(grid: GridSpec, tolerance: float | None = None) -> IdentityReport:

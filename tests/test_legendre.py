@@ -157,7 +157,9 @@ def test_series_bits_are_pinned_for_nonnegative_arguments(nu, z, value, err):
 # add -0.99999, where the term cap is reached and the estimate is infinite
 _SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0.99, 1.0))
 
-# the 505 stencil points of the suite's ode_base check, in the order it sums them
+# 505 arguments: each point of the default 101-point ODE grid with two
+# neighbours either side at the stencil step, so most sums read a table that
+# earlier sums filled and a few extend it
 _ODE_BASE_POINTS = [z + k * verify._ODE_STEP for z in GridSpec(-0.9, 0.9, 101).points()
                     for k in (-2, -1, 0, 1, 2)]
 
@@ -210,6 +212,52 @@ def test_running_sum_is_bounded_by_running_sum_of_sizes(xs):
 def test_p_series_rejects_what_legendre_p_rejects(nu, zs, match):
     with pytest.raises(DomainError, match=match):
         legendre._p_series(nu, zs)
+    with pytest.raises(DomainError, match=match):
+        legendre._p_series_du(nu, zs)
+
+
+def _coefficients(nu: float, n: int) -> list[float]:
+    """c_1 .. c_n of the series, by DLMF 15.2.1's ratio written out here."""
+    c, out = 1.0, []
+    for k in range(n):
+        c *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("nu", [0.5, -4.2, 3.0, 0.0])
+def test_p_series_extends_a_callers_table(nu, monkeypatch):
+    # at z = 1 a sum made to run n terms only extends the table to n
+    # coefficients; sums then read the table as they read the kept one
+    table = []
+    assert legendre._p_series(nu, (1.0,), table, 40)[0].value == 1.0
+    assert table == _coefficients(nu, 40)
+    zs = [-0.9, 0.3, 1.0, -0.5]
+    assert legendre._p_series(nu, zs, table) == [legendre_p(nu, z) for z in zs]
+    legendre._p_series(nu, (1.0,), table, 100)
+    assert table == _coefficients(nu, max(100, len(table)))
+    monkeypatch.setattr(legendre, "MAX_TERMS", 120)
+    table = []
+    assert not legendre._p_series(nu, (1.0,), table, 200)[0].converged
+    assert table == _coefficients(nu, 120)
+
+
+@pytest.mark.parametrize("zs", [[-0.9, 0.0, 0.9, 1.0], [1.0, 0.3, -0.9, 0.3], [0.5, -0.5]])
+@pytest.mark.parametrize("nu", [0.5, -4.2, 4.9, 1.0])
+def test_p_series_du_is_per_argument(nu, zs):
+    # the three sums read whatever table earlier arguments grew, bit for bit
+    # the sums of one argument alone; at z = 1 they are c_0, c_1 and 2 c_2
+    got = legendre._p_series_du(nu, zs)
+    assert got == [legendre._p_series_du(nu, [z])[0] for z in zs]
+    c1, c2 = _coefficients(nu, 2)
+    assert legendre._p_series_du(nu, [1.0]) == [(1.0, c1, 2.0 * c2, 1.0, abs(c1), abs(2.0 * c2))]
+
+
+def test_p_series_du_cut_short_gives_nans(monkeypatch):
+    # the float above -1 has u = 1.0, where no sum stops
+    monkeypatch.setattr(legendre, "MAX_TERMS", 300)
+    for nu, z in ((0.5, -0.9999999999999999), (0.5, -0.999), (0.0, -0.9999999999999999)):
+        assert all(math.isnan(x) for x in legendre._p_series_du(nu, [z])[0])
 
 
 def test_dp_dnu0_values():
@@ -361,7 +409,7 @@ def test_oracle_is_independent_of_the_series_and_closed_forms(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not call this")
 
-    for name in ("legendre_p", "_p_series", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
+    for name in ("legendre_p", "_p_series", "_p_series_du", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
                  "dilog", "_li3_t", "_li3_mu"):
         monkeypatch.setattr(legendre, name, forbidden)
     assert [nu_derivative_oracle(z, order) for z in (-0.9, 0.3) for order in (1, 2, 3)] \

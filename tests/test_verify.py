@@ -191,18 +191,17 @@ class TestReportStatistics:
         assert not r.passed and r.max_residual == 1e308 and r.mean_residual == math.inf
 
     def test_nonconverged_samples_fail_as_nan(self, monkeypatch):
-        # P_nu = v near the k-th point of a 0.1-step grid has zero stencil
-        # derivatives, so the degree-1 residual there is exactly |2 v|; None
-        # is a non-converged series with a huge value, which enters as NaN
+        # sums P = v with zero derivatives and sum|P terms| = 1 near the k-th
+        # point of a 0.1-step grid give the degree-1 scaled residual |2 v| / 2;
+        # None is a sum cut short, six NaNs, which enters as NaN
         values = [3.0, None, 1.0, 5.0, None, 2.0, 5.0, 4.0, 1.0, 0.0,
                   2.0, None, 3.0, 1.0, 4.0, 2.0, 1.0, 3.0, 2.0]
-        template = legendre_p(0.0, 0.0)
 
-        def fake(nu, z):
+        def fake(z):
             v = values[round(10.0 * z) + 9]
-            return template._replace(value=1e300 if v is None else v, converged=v is not None)
+            return (math.nan,) * 6 if v is None else (v, 0.0, 0.0, 1.0, 0.0, 0.0)
 
-        monkeypatch.setattr(verify, "_p_series", lambda nu, zs: [fake(nu, z) for z in zs])
+        monkeypatch.setattr(verify, "_p_series_du", lambda nu, zs: [fake(z) for z in zs])
         grid = GridSpec(-0.9, 0.9, 19)
         r = check_ode_base(1.0, grid, 100.0)
         assert r.samples == 19 and r.passed is False
@@ -233,9 +232,34 @@ class TestOdeChecks:
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 3.0])
     def test_base_fd_limited(self, nu):
+        # no finite difference is left: the scaled residual meets 1e-12
         r = check_ode_base(nu, GridSpec(-0.9, 0.9, 51))
-        assert r.passed
-        assert r.max_residual <= 1e-6
+        assert r.passed and r.tolerance == 1e-12
+        assert r.max_residual <= 1e-12
+
+    def test_base_passes_at_every_integer_degree(self):
+        # nu = 0 and nu = -1 have every coefficient past c_0 zero and a zero
+        # scale: their residual is exactly 0, not 0/0
+        for nu in range(-5, 6):
+            r = check_ode_base(float(nu), GridSpec(-0.9, 0.9, 101))
+            assert r.passed, nu
+            if nu in (0, -1):
+                assert r.max_residual == 0.0 and r.mean_residual == 0.0
+
+    def test_base_sees_an_error_in_the_p_sum(self, monkeypatch):
+        # a relative error of 1e-10 in P alone moves the scaled residual by
+        # about nu (nu + 1) P 1e-10 / scale, far above the 1e-12 gate; a
+        # 5-point stencil at h = 6e-4 read about 1e-8 with or without it
+        exact = legendre._p_series_du
+
+        def skewed(nu, zs):
+            return [(p * (1.0 + 1e-10), *rest) for p, *rest in exact(nu, zs)]
+
+        assert run_all()[0].passed
+        monkeypatch.setattr(verify, "_p_series_du", skewed)
+        r = run_all()[0]
+        assert r.identity_id == "ode_base" and not r.passed
+        assert r.max_residual > 1e-11
 
     def test_base_respects_grid_bound(self):
         with pytest.raises(DomainError):
@@ -249,14 +273,14 @@ class TestOdeChecks:
     ])
     def test_base_errors_come_before_any_series_work(self, monkeypatch, nu, grid, tol, match):
         # a bad tolerance first, then a grid outside +-0.9, both before the
-        # series is called; then a bad degree, which the real series rejects
-        # before it looks at any stencil point
+        # sums are called; then a bad degree, which the real sums reject
+        # before they look at any grid point
         calls = []
         if match == "^degree":
             check = legendre._check_argument
             monkeypatch.setattr(legendre, "_check_argument", lambda z: calls.append(z) or check(z))
         else:
-            monkeypatch.setattr(verify, "_p_series", lambda *args: calls.append(args))
+            monkeypatch.setattr(verify, "_p_series_du", lambda *args: calls.append(args))
         with pytest.raises(DomainError, match=match):
             check_ode_base(nu, grid, tol)
         assert calls == []
@@ -265,19 +289,22 @@ class TestOdeChecks:
     @pytest.mark.parametrize("grid", [GridSpec(-0.9, 0.9, 101),
                                       GridSpec(-0.9, 0.9, 33, "chebyshev")])
     def test_base_is_per_point_legendre_p(self, nu, grid):
-        # the report from one series call equals one built here from
-        # per-point legendre_p calls on the same 5-point stencils
-        h, res = verify._ODE_STEP, []
+        # the report from one call of the three sums equals one built here
+        # from one-argument calls, each with P'' = P_uu / 4, P' = -P_u / 2 and
+        # the scale written out, and each sum's P is legendre_p's within
+        # legendre_p's error estimate
+        res, tol = [], DEFAULT_TOLERANCES["ode_base"]
         for z in grid.points():
-            evals = [legendre_p(nu, z + k * h) for k in (-2, -1, 0, 1, 2)]
-            assert all(e.converged for e in evals)
-            fm2, fm1, f0, fp1, fp2 = (e.value for e in evals)
-            d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-            d2 = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-            res.append(abs((1.0 - z * z) * d2 - 2.0 * z * d1 + nu * (nu + 1.0) * f0))
+            [(p, pu, puu, a0, a1, a2)] = legendre._p_series_du(nu, [z])
+            e = legendre_p(nu, z)
+            assert e.converged and abs(p - e.value) <= e.abs_err_est
+            d1, d2 = -0.5 * pu, 0.25 * puu
+            r = abs((1.0 - z * z) * d2 - 2.0 * z * d1 + nu * (nu + 1.0) * p)
+            scale = (1.0 - z * z) * 0.25 * a2 + 2.0 * abs(z) * 0.5 * a1 + abs(nu * (nu + 1.0)) * a0
+            res.append(r / scale if scale else r)
         worst = max(res)
         want = IdentityReport("ode_base", len(res), worst, math.fsum(res) / len(res),
-                              grid.points()[res.index(worst)], 1e-6, worst <= 1e-6)
+                              grid.points()[res.index(worst)], tol, worst <= tol)
         assert check_ode_base(nu, grid) == want
 
     @pytest.mark.parametrize("order, h, check", [(2, verify._ODE_STEP, check_ode_deriv2),
@@ -315,21 +342,22 @@ class TestOdeChecks:
                                       GridSpec(-0.9, 0.9, 33, "chebyshev"),
                                       GridSpec(-0.9, 0.9, 2)])
     def test_one_step_holds_a_margin_over_the_window(self, grid):
-        # one stencil step serves every check on all of +-0.9: the worst
-        # residuals, P_nu at nu = 5 and d3 at z = -0.9, stay 3x below 1e-6
+        # one stencil step serves both closed-form checks on all of +-0.9: the
+        # worst residual, d3 at z = -0.9, stays 3x below 1e-6; the series
+        # sums keep every degree's scaled residual 3x below 1e-12
         margin = DEFAULT_TOLERANCES["ode_base"] / 3.0
         for nu in np.linspace(-5.0, 5.0, 41):
             assert check_ode_base(float(nu), grid).max_residual <= margin
+        margin = DEFAULT_TOLERANCES["ode_deriv2"] / 3.0
         assert check_ode_deriv2(grid).max_residual <= margin
         assert check_ode_deriv3(grid).max_residual <= margin
 
     def test_stencil_sums_converge_over_the_degree_envelope(self):
         # check_ode_base scores a sum that did not converge as NaN; within
-        # +-0.9 none arises, since every stencil point has u = (1 - z)/2 <= 0.9506
-        points = [z + k * verify._ODE_STEP for z in (-0.9, 0.0, 0.9) for k in (-2, -1, 0, 1, 2)]
+        # +-0.9 none arises, since every grid point has u = (1 - z)/2 <= 0.95
         for nu in np.linspace(-5.0, 5.0, 201):
-            results = legendre._p_series(float(nu), points)
-            assert all(e.converged for e in results), nu
+            sums = legendre._p_series_du(float(nu), [-0.9, 0.0, 0.9])
+            assert all(math.isfinite(x) for s in sums for x in s), nu
 
     @pytest.mark.parametrize("check", [lambda g: check_ode_base(0.5, g),
                                        check_ode_deriv2, check_ode_deriv3],
@@ -337,8 +365,8 @@ class TestOdeChecks:
     @pytest.mark.parametrize("grid", [GridSpec(-0.95, 0.9, 3), GridSpec(-0.9, 0.95, 3),
                                       GridSpec(-0.95, 0.95, 2)])
     def test_grids_past_the_window_raise(self, check, grid):
-        # past +-0.9 the stencil's truncation near z = -1 and the rounding
-        # of P_nu at |nu| = 5 leave no step that passes correct closed forms
+        # past +-0.9 the stencil's truncation near z = -1 leaves no step that
+        # passes correct closed forms; ode_base keeps the same window
         with pytest.raises(DomainError, match="^ODE residual grids must lie within"):
             check(grid)
 
@@ -524,10 +552,11 @@ class TestIntegralIdentities:
 
 # every default report as (id, samples, passed, and the float.hex of the max,
 # the mean and the argmax); ode_base's mean is an fsum over residuals built
-# from all 505 of its P_1/2 sums, so a change in the bits of any one shows here
+# from all 101 of its three-sum evaluations, so a change in the bits of any
+# one shows here
 _RUN_ALL_BITS = [
     ("ode_base", 101, True,
-     "0x1.4198c34000000p-27", "0x1.79b36cbe93029p-30", "-0x1.70a3d70a3d708p-3"),
+     "0x1.7025167d33fd7p-44", "0x1.0c4e7641f9fe9p-47", "-0x1.ccccccccccccdp-1"),
     ("ode_deriv2", 101, True,
      "0x1.2690914000000p-28", "0x1.d6e6a81958b68p-31", "-0x1.70a3d70a3d708p-4"),
     ("ode_deriv3", 101, True,
