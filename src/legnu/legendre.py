@@ -17,6 +17,8 @@ degree-derivative diverges while the second tends to the finite limit
 from __future__ import annotations
 
 import math
+from copy import copy
+from itertools import tee
 
 from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
 from .polylog import _LI2_ODD, ZETA3, _compile_horner, _li3_mu, _li3_t, dilog
@@ -33,11 +35,11 @@ __all__ = [
 #: Largest |degree| accepted by the series evaluator.
 DEGREE_ENVELOPE = 5.0
 
-#: Relative truncation tolerance of the series' proven stop (see `_p_series`).
+#: Relative truncation tolerance of the series' proven stop (see `legendre_p`).
 SERIES_TOL = 1e-14
 
-#: Series term cap per argument, in `_p_series` (and so in `legendre_p`); a
-#: non-integer degree reaches it for 1 + z below about 4e-4 (3.5e-4 fails).
+#: Series term cap per argument: the length of `_coefficients`' stream, so of every
+#: sum; a non-integer degree reaches it for 1 + z below about 4e-4 (3.5e-4 fails).
 MAX_TERMS = 100_000
 
 # Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
@@ -63,8 +65,18 @@ def _check_degree(nu: float) -> float:
 def legendre_p(nu: float, z: float) -> EvalResult:
     """Legendre function of the first kind, P_nu(z), for real degree.
 
-    The one-argument `_p_series`, which documents the series and its stop.
-    For integer degree the series terminates and the usual polynomials are
+    Sums c_k u^k with u = (1-z)/2 and c_0 = 1 over `_coefficients` up to
+    its first term c_m u^m with m > max(nu, -nu - 1) and
+    |c_m u^m| <= `SERIES_TOL` |partial sum|, or `MAX_TERMS` terms.  For
+    j >= m both factors of (j - nu)(j + nu + 1) are positive and (j + 1)^2
+    exceeds their product by j + 1 + nu (nu + 1) > 0, so every later ratio
+    r_j = c_(j+1) / c_j lies in (0, 1) and the tail is at most
+    |c_m u^m| u / (1 - u): abs_err_est is that bound plus a rounding
+    allowance EPS sum|c_k u^k| (1 + sqrt(m)), a heuristic while sums near
+    z = -1 run to thousands of terms; the worst case, m EPS sum|c_k u^k|,
+    replaces it once they are about 50 terms long.  The sum keeps no
+    coefficient table: a call at the term cap peaks under 1 KiB.  For
+    integer degree the series terminates and the usual polynomials are
     recovered exactly; P_nu(1) = 1 for every degree.
 
     Parameters
@@ -81,76 +93,35 @@ def legendre_p(nu: float, z: float) -> EvalResult:
         about 4e-4); the value is then the partial sum, with no error
         bound: abs_err_est is inf.
     """
-    return _p_series(nu, (z,))[0]
-
-
-def _p_series(nu: float, zs, table: list[float] | None = None, terms: int = 0) -> list[EvalResult]:
-    """P_nu(z) for each z in ``zs``, as in `legendre_p`.
-
-    Sums c_k u^k with u = (1-z)/2, c_0 = 1 and c_{j+1} = c_j r_j,
-    r_j = (j - nu)(j + nu + 1) / (j + 1)^2 (DLMF 15.2.1), up to its first
-    term c_m u^m with m > max(nu, -nu - 1) and |c_m u^m| <= `SERIES_TOL`
-    |partial sum|, or `MAX_TERMS` terms.  For j >= m both factors of
-    (j - nu)(j + nu + 1) are positive and (j + 1)^2 exceeds their product
-    by j + 1 + nu (nu + 1) > 0, so every later r_j lies in (0, 1) and the
-    tail is at most |c_m u^m| u / (1 - u): abs_err_est is that bound plus a
-    rounding allowance EPS sum|c_k u^k| (1 + sqrt(m)), a heuristic while
-    sums near z = -1 run to thousands of terms; the worst case,
-    m EPS sum|c_k u^k|, replaces it once they are about 50 terms long.
-    Each sum runs two loops.  With more than one argument the coefficients
-    c_1, c_2, ... are computed once: the first loop reads the table that
-    earlier sums filled and the second runs the recurrence past its end,
-    extending it.  One argument keeps no table, since its sum alone can run
-    to the term cap and no later sum would read it; it runs only the second
-    loop.  A kept table would raise the peak memory of a `legendre_p` call at
-    the cap from 0.2 KiB to 3.1 MiB and add up to 8 % to its time.  The
-    first loop tests |term| <= SERIES_TOL sum|c_k u^k| before the stop
-    itself: running float sums obey |fl sum t| <= fl sum|t|, rounding to
-    nearest being monotone and odd, so the pre-test is false whenever the
-    stop test is, and moves no stop.  Each result is the same bit for bit
-    whichever arguments precede it.  A caller's ``table`` of c_1 .. c_n is
-    read and extended in place, as the kept one is, and ``terms`` then makes
-    every sum run at least that many terms, raising past to terms - 1; at
-    z = 1, where u = 0 and every term past c_0 is 0, such a sum only extends
-    the table to ``terms`` coefficients (or `MAX_TERMS`).  `_p_series_du`
-    grows its table so, which keeps the recurrence written once."""
     nu = _check_degree(nu)
-    zs = [_check_argument(z) for z in zs]
+    z = _check_argument(z)
     past = max(nu, -nu - 1.0)  # r_j lies in (0, 1) for every j > past
-    if table is None:
-        keep, table = len(zs) > 1, []  # table[k] is c_(k+1)
+    u = 0.5 * (1.0 - z)
+    total = abs_total = upow = 1.0
+    m = 0.0
+    for coeff in _coefficients(nu):
+        m += 1.0
+        upow *= u
+        term = coeff * upow
+        total += term
+        abs_total += abs(term)
+        if abs(term) <= SERIES_TOL * abs(total) and m > past:
+            break
     else:
-        keep, past = True, max(past, terms - 1.0)
-    out = []
-    for z in zs:
-        u = 0.5 * (1.0 - z)
-        total = abs_total = upow = coeff = 1.0
-        for m, coeff in enumerate(table, 1):  # c_m read from the table
-            upow *= u
-            term = coeff * upow
-            total += term
-            size = abs(term)
-            abs_total += size
-            if size <= SERIES_TOL * abs_total and size <= SERIES_TOL * abs(total) and m > past:
-                break
-        else:
-            for k in range(len(table), MAX_TERMS):  # c_m by the recurrence, m = k + 1
-                coeff *= (k - nu) * (k + nu + 1.0) / ((k + 1.0) * (k + 1.0))
-                if keep:
-                    table.append(coeff)
-                upow *= u
-                term = coeff * upow
-                total += term
-                abs_total += abs(term)
-                if abs(term) <= SERIES_TOL * abs(total) and k + 1 > past:
-                    m = k + 1
-                    break
-            else:
-                out.append(_result((total, math.inf, False)))
-                continue
-        tail = abs(term) * u / (1.0 - u)
-        out.append(_result((total, tail + EPS * abs_total * (1.0 + math.sqrt(m)), True)))
-    return out
+        return _result((total, math.inf, False))
+    tail = abs(term) * u / (1.0 - u)
+    return _result((total, tail + EPS * abs_total * (1.0 + math.sqrt(m)), True))
+
+
+def _coefficients(nu: float):
+    """c_1, c_2, ... of P_nu's series in u = (1-z)/2, up to `MAX_TERMS` values:
+    c_0 = 1 and c_(j+1) = c_j (j - nu)(j + nu + 1) / (j + 1)^2 (DLMF 15.2.1).
+    j is carried as a float, exact below 2^53, which saves a conversion per term."""
+    coeff, j = 1.0, 0.0
+    for _ in range(MAX_TERMS):
+        coeff *= (j - nu) * (j + nu + 1.0) / ((j + 1.0) * (j + 1.0))
+        j += 1.0
+        yield coeff
 
 
 def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float, float]]:
@@ -158,26 +129,25 @@ def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float,
     ``zs``, from the series' term-wise derivatives.
 
     Each entry is (P, P_u, P_uu, A0, A1, A2): the sums of the terms c_k u^k,
-    k c_k u^(k-1) and k (k-1) c_k u^(k-2) of `_p_series`, and the sums of
-    those terms' sizes; a sum cut short at `MAX_TERMS` gives six NaNs.  The
-    three terms share the sign of c_k, so each sum is kept as its positive
-    and its negative part: their sum is its value, their difference its sum
-    of sizes.  All sums read one table of c_1, c_2, ..., doubled where a sum
-    reads its last entry by `_p_series` itself (see its ``terms``), so each
-    coefficient is computed once and the recurrence is written once.  Each
-    stops at its first term with k > max(past, (1+u)/(1-u)), past as in
-    `_p_series`, and |k (k-1) c_k u^(k-2)| <= `SERIES_TOL` A2.  For j >= k the
-    ratios of consecutive terms, r_j u, r_j u (j+1)/j and r_j u (j+1)/(j-1),
-    lie in (0, q] with q = u (k+1)/(k-1) < 1, since r_j lies in (0, 1) there
-    and (j+1)/(j-1) falls with j.  So each tail is at most its sum's last
-    term times q/(1-q), and the last P and P_u terms are u^2/(k (k-1)) and
+    k c_k u^(k-1) and k (k-1) c_k u^(k-2) of `legendre_p`'s series, and the
+    sums of those terms' sizes; a sum cut short at `MAX_TERMS` gives six
+    NaNs.  The three terms share the sign of c_k, so each sum is kept as its
+    positive and its negative part: their sum is its value, their difference
+    its sum of sizes.  Every argument reads its own copy of one tee of
+    `_coefficients`, so each coefficient is computed once, and none past the
+    longest sum's need.  Each sum stops at its first term with
+    k > max(past, (1+u)/(1-u)), past as in `legendre_p`, and
+    |k (k-1) c_k u^(k-2)| <= `SERIES_TOL` A2.  For j >= k the ratios of
+    consecutive terms, r_j u, r_j u (j+1)/j and r_j u (j+1)/(j-1), lie in
+    (0, q] with q = u (k+1)/(k-1) < 1, since r_j lies in (0, 1) there and
+    (j+1)/(j-1) falls with j.  So each tail is at most its sum's last term
+    times q/(1-q), and the last P and P_u terms are u^2/(k (k-1)) and
     u/(k-1) times the last P_uu term."""
     nu = _check_degree(nu)
     zs = [_check_argument(z) for z in zs]
     past = max(nu, -nu - 1.0)
     tol = SERIES_TOL
-    table: list[float] = []
-    _p_series(nu, (1.0,), table, 32)
+    stream = tee(_coefficients(nu), 1)[0]  # never advanced: copies start at c_1
     out = []
     for z in zs:
         u = 0.5 * (1.0 - z)
@@ -185,8 +155,8 @@ def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float,
         pos0, pos1, pos2 = 1.0, 0.0, 0.0
         neg0 = neg1 = neg2 = 0.0
         low, mid = 0.0, 1.0  # u^(k-2) and u^(k-1); k (k-1) is 0 at k = 1
-        k, n = 0.0, float(len(table))
-        for coeff in table:
+        k = 0.0
+        for coeff in copy(stream):
             k += 1.0
             kc = k * coeff
             t1 = kc * mid
@@ -208,9 +178,6 @@ def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float,
                 out.append((pos0 + neg0, pos1 + neg1, pos2 + neg2,
                             pos0 - neg0, pos1 - neg1, pos2 - neg2))
                 break
-            if k == n:  # the last entry: double the table, which this loop reads on into
-                _p_series(nu, (1.0,), table, 2 * len(table))
-                n = float(len(table))
         else:
             out.append((math.nan,) * 6)
     return out

@@ -1,16 +1,17 @@
 """Tests for the real-degree Legendre evaluator, the closed-form
 degree-derivatives, the degree expansion, and the quadrature oracle."""
 
+import itertools
 import math
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import lpmv
 
-from legnu import legendre, verify
+from legnu import legendre
 from legnu.core import DomainError
 from legnu.legendre import (
     d2p_dnu2_0,
@@ -153,56 +154,6 @@ def test_series_bits_are_pinned_for_nonnegative_arguments(nu, z, value, err):
     assert (r.value.hex(), r.abs_err_est.hex()) == (value, err)
 
 
-# arguments drawn partly from a short list, so that repeats occur; the examples
-# add -0.99999, where the term cap is reached and the estimate is infinite
-_SERIES_POINTS = st.one_of(st.sampled_from([1.0, 0.3, -0.5, -0.9]), st.floats(-0.99, 1.0))
-
-# 505 arguments: each point of the default 101-point ODE grid with two
-# neighbours either side at the stencil step, so most sums read a table that
-# earlier sums filled and a few extend it
-_ODE_BASE_POINTS = [z + k * verify._ODE_STEP for z in GridSpec(-0.9, 0.9, 101).points()
-                    for k in (-2, -1, 0, 1, 2)]
-
-
-@settings(deadline=None)
-@given(st.floats(-5.0, 5.0), st.lists(_SERIES_POINTS, max_size=40))
-@example(0.5, _ODE_BASE_POINTS)
-# a read term under the tolerance at an index m <= past must not stop the sum
-@example(2.5, [-0.9, 1.0 - 1e-9])
-@example(-4.2, [-0.9, 1.0 - 1e-9])
-# the term cap is reached while extending the table, then again while reading it
-@example(0.5, [-0.99999, -0.99999])
-@example(0.0, [0.3, 1.0, -0.9, 0.3])
-@example(1.0, [-0.5, -0.99999, 0.25])
-@example(3.0, [0.9, -0.9, 1.0])
-@example(-4.0, [-0.7, -0.7, 0.1])
-@example(0.5, [-0.99999, -0.9, 1.0, -0.9])
-@example(-2.7, [0.3, -0.99999, 0.3])
-@example(2.5, [0.9, 0.3, -0.95, 0.5])
-def test_p_series_is_legendre_p_at_each_argument(nu, zs):
-    # a sum that reads the table built by earlier arguments, and extends it
-    # when it needs more terms, gives what the same sum alone (which keeps no
-    # table) gives, bit for bit, the non-converged return at the term cap included;
-    # one argument never runs the stop pre-test, so this shows it moves no stop
-    assert legendre._p_series(nu, zs) == [legendre_p(nu, z) for z in zs]
-
-
-@given(st.lists(st.floats(-1e300, 1e300), max_size=50))
-@example([-1.0, 2.0**-53, -(2.0**-53)])
-@example([-1.0, 5e-324, 1.0 - 2.0**-53])
-@example([1e300, -1e300, -1.0])
-def test_running_sum_is_bounded_by_running_sum_of_sizes(xs):
-    # |fl(t_0 + ... + t_m)| <= fl(|t_0| + ... + |t_m|) after every addition, since
-    # rounding to nearest is monotone and odd: `_p_series`'s cheap pre-test on the
-    # sum of sizes is false whenever its stop test on the sum is
-    total = abs_total = 1.0
-    for x in xs:
-        total += x
-        abs_total += abs(x)
-        assert abs(total) <= abs_total
-        assert legendre.SERIES_TOL * abs(total) <= legendre.SERIES_TOL * abs_total
-
-
 @pytest.mark.parametrize("nu, zs, match", [
     (0.5, [-1.0], "argument"),
     (0.5, [0.3, -0.5, 1.0000001], "argument"),
@@ -211,7 +162,8 @@ def test_running_sum_is_bounded_by_running_sum_of_sizes(xs):
 ])
 def test_p_series_rejects_what_legendre_p_rejects(nu, zs, match):
     with pytest.raises(DomainError, match=match):
-        legendre._p_series(nu, zs)
+        for z in zs:
+            legendre_p(nu, z)
     with pytest.raises(DomainError, match=match):
         legendre._p_series_du(nu, zs)
 
@@ -225,27 +177,41 @@ def _coefficients(nu: float, n: int) -> list[float]:
     return out
 
 
-@pytest.mark.parametrize("nu", [0.5, -4.2, 3.0, 0.0])
-def test_p_series_extends_a_callers_table(nu, monkeypatch):
-    # at z = 1 a sum made to run n terms only extends the table to n
-    # coefficients; sums then read the table as they read the kept one
-    table = []
-    assert legendre._p_series(nu, (1.0,), table, 40)[0].value == 1.0
-    assert table == _coefficients(nu, 40)
-    zs = [-0.9, 0.3, 1.0, -0.5]
-    assert legendre._p_series(nu, zs, table) == [legendre_p(nu, z) for z in zs]
-    legendre._p_series(nu, (1.0,), table, 100)
-    assert table == _coefficients(nu, max(100, len(table)))
+@pytest.mark.parametrize("nu", [0.5, -4.2, 3.0, 0.0, 4.9, -5.0])
+def test_coefficient_stream_is_the_recurrence(nu, monkeypatch):
+    # the stream's float index gives the int index's coefficients bit for bit,
+    # and the stream ends after MAX_TERMS of them
+    got = list(itertools.islice(legendre._coefficients(nu), 5000))
+    assert [c.hex() for c in got] == [c.hex() for c in _coefficients(nu, 5000)]
     monkeypatch.setattr(legendre, "MAX_TERMS", 120)
-    table = []
-    assert not legendre._p_series(nu, (1.0,), table, 200)[0].converged
-    assert table == _coefficients(nu, 120)
+    assert len(list(legendre._coefficients(nu))) == 120
+
+
+def test_p_series_du_draws_each_coefficient_once(monkeypatch):
+    # over the default ode_base grid the sums draw from the stream no more
+    # coefficients than the longest of them needs alone
+    stream, drawn = legendre._coefficients, [0]
+
+    def counted(nu):
+        for c in stream(nu):
+            drawn[0] += 1
+            yield c
+
+    monkeypatch.setattr(legendre, "_coefficients", counted)
+    points = GridSpec(-0.9, 0.9, 101).points()
+    legendre._p_series_du(0.5, points)
+    together, longest = drawn[0], 0
+    for z in points:
+        drawn[0] = 0
+        legendre._p_series_du(0.5, [z])
+        longest = max(longest, drawn[0])
+    assert together == longest == 639
 
 
 @pytest.mark.parametrize("zs", [[-0.9, 0.0, 0.9, 1.0], [1.0, 0.3, -0.9, 0.3], [0.5, -0.5]])
 @pytest.mark.parametrize("nu", [0.5, -4.2, 4.9, 1.0])
 def test_p_series_du_is_per_argument(nu, zs):
-    # the three sums read whatever table earlier arguments grew, bit for bit
+    # the three sums read the coefficients earlier arguments drew, bit for bit
     # the sums of one argument alone; at z = 1 they are c_0, c_1 and 2 c_2
     got = legendre._p_series_du(nu, zs)
     assert got == [legendre._p_series_du(nu, [z])[0] for z in zs]
@@ -409,7 +375,7 @@ def test_oracle_is_independent_of_the_series_and_closed_forms(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not call this")
 
-    for name in ("legendre_p", "_p_series", "_p_series_du", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
+    for name in ("legendre_p", "_coefficients", "_p_series_du", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
                  "dilog", "_li3_t", "_li3_mu"):
         monkeypatch.setattr(legendre, name, forbidden)
     assert [nu_derivative_oracle(z, order) for z in (-0.9, 0.3) for order in (1, 2, 3)] \

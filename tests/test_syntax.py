@@ -10,12 +10,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+FILES = sorted(p for d in ("src", "tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def test_files_are_found():
     assert any(p.name == "polylog.py" for p in FILES)
     assert any(p.parent.name == "perfbench" for p in FILES)
+    assert any(p.parent.name == "tools" for p in FILES)
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
