@@ -1,12 +1,14 @@
-"""Shared result type, domain error, and adaptive Gauss-Kronrod quadrature.
+"""Shared result type, domain error, compiler and adaptive Gauss-Kronrod
+quadrature.
 
 Everything in this package is a pure function of its arguments; there is no
 shared mutable state, so concurrent calls are safe by construction.
 
-The quadrature's 21-point rule is compiled once, at import, into
-straight-line code, as `polylog._compile_horner` compiles its tables.  Its
-sums run left to right, so its bits do not depend on the interpreter's
-``sum()``, which sums floats compensated since Python 3.12.
+`_compile` is the package's one way to build straight-line code: the
+quadrature's 21-point rule here and every `polylog` series branch are
+compiled through it once, at import.  The rule's sums run left to right, so
+its bits do not depend on the interpreter's ``sum()``, which sums floats
+compensated since Python 3.12.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ class EvalResult(namedtuple("EvalResult", ("value", "abs_err_est", "converged"))
 #: without the named tuple's Python-level ``__new__``; the hot kernels use it.
 #: A bound method calls ``tuple.__new__`` faster than a ``functools.partial``.
 _result = types.MethodType(tuple.__new__, EvalResult)
+
+
+def _compile(params: str, *lines: str, **names):
+    """``def f(params)`` with body ``lines`` over the globals ``names``, as
+    `namedtuple` writes its methods; floats written by their reprs round-trip."""
+    exec(f"def f({params}):\n    " + "\n    ".join(lines), names)
+    return names["f"]
 
 
 # QUADPACK's 21-point Kronrod rule and its embedded 10-point Gauss rule on
@@ -121,9 +130,7 @@ def _compile_gk21():
         "floor = 50.0 * EPS * resabs",
         "return h * kronrod, max(err, floor), floor",  # max keeps a NaN err: it comes first
     ]
-    namespace = {"EPS": EPS}
-    exec("def _gk21(f, a, b):\n    " + "\n    ".join(lines), namespace)
-    return namespace["_gk21"]
+    return _compile("f, a, b", *lines, EPS=EPS)
 
 
 _gk21 = _compile_gk21()

@@ -21,7 +21,7 @@ from copy import copy
 from itertools import tee
 
 from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
-from .polylog import _LI2_ODD, ZETA3, _compile_horner, _li3_mu, _li3_t, dilog
+from .polylog import ZETA3, _li2_ratio_integral, _li3_mu, _li3_t, dilog
 
 __all__ = [
     "legendre_p",
@@ -41,11 +41,6 @@ SERIES_TOL = 1e-14
 #: Series term cap per argument: the length of `_coefficients`' stream, so of every
 #: sum; a non-integer degree reaches it for 1 + z below about 4e-4 (3.5e-4 fails).
 MAX_TERMS = 100_000
-
-# Li2's odd Bernoulli terms integrated once more: entry k is B_(2k+2) / ((2k+4) (2k+3)!),
-# the coefficient of s^(2k+4)
-_LI2_INTEGRAL = tuple(c / (2 * k + 4) for k, c in enumerate(_LI2_ODD))
-_li2_integral = _compile_horner(_LI2_INTEGRAL)
 
 
 def _check_argument(z: float) -> float:
@@ -133,9 +128,11 @@ def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float,
     sums of those terms' sizes; a sum cut short at `MAX_TERMS` gives six
     NaNs.  The three terms share the sign of c_k, so each sum is kept as its
     positive and its negative part: their sum is its value, their difference
-    its sum of sizes.  Every argument reads its own copy of one tee of
-    `_coefficients`, so each coefficient is computed once, and none past the
-    longest sum's need.  Each sum stops at its first term with
+    its sum of sizes.  Every argument but the last reads its own copy of one
+    tee of `_coefficients`, and the last the tee itself: each coefficient is
+    computed once, none past the longest sum's need, and each is freed once
+    the last argument reads past it (a term-cap argument followed by others
+    still holds them all until then).  Each sum stops at its first term with
     k > max(past, (1+u)/(1-u)), past as in `legendre_p`, and
     |k (k-1) c_k u^(k-2)| <= `SERIES_TOL` A2.  For j >= k the ratios of
     consecutive terms, r_j u, r_j u (j+1)/j and r_j u (j+1)/(j-1), lie in
@@ -147,16 +144,16 @@ def _p_series_du(nu: float, zs) -> list[tuple[float, float, float, float, float,
     zs = [_check_argument(z) for z in zs]
     past = max(nu, -nu - 1.0)
     tol = SERIES_TOL
-    stream = tee(_coefficients(nu), 1)[0]  # never advanced: copies start at c_1
+    stream = tee(_coefficients(nu), 1)[0]  # advanced by the last argument only
     out = []
-    for z in zs:
+    for n, z in enumerate(zs, 1):
         u = 0.5 * (1.0 - z)
         after = max(past, (1.0 + u) / (1.0 - u)) if u < 1.0 else math.inf
         pos0, pos1, pos2 = 1.0, 0.0, 0.0
         neg0 = neg1 = neg2 = 0.0
         low, mid = 0.0, 1.0  # u^(k-2) and u^(k-1); k (k-1) is 0 at k = 1
         k = 0.0
-        for coeff in copy(stream):
+        for coeff in stream if n == len(zs) else copy(stream):
             k += 1.0
             kc = k * coeff
             t1 = kc * mid
@@ -215,15 +212,14 @@ def d3p_dnu3_0(z: float) -> float:
     the integral of Li2(t)/(1-t) over [0, w].  The substitution
     s = -ln(1-t) turns it into 6 times the integral of Li2's Bernoulli
     series in s, 3 S^2 - S^3/2 + 6 sum_k B_(2k+2) S^(2k+4) /
-    ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln(4/3), which is summed over its
-    nonzero terms by Horner's rule in S^2, like the kernels.  That series is
+    ((2k+4) (2k+3)!) with S = -ln(1-w) <= ln(4/3), which `polylog`'s compiled
+    branch sums over its nonzero terms by Horner's rule in S^2.  That series is
     the closed form's own expansion in mu = ln v = -S, with the cancelling
     zeta(3), pi^2 mu and ln(-mu) terms removed.
     """
     z = _check_argument(z)
     if z > 0.5:
-        s = -math.log1p(-0.5 * (1.0 - z))
-        return s * s * (3.0 - s * (0.5 - 6.0 * s * _li2_integral(s * s))) + 0.0
+        return _li2_ratio_integral(-math.log1p(-0.5 * (1.0 - z))) + 0.0
     v = 0.5 * (z + 1.0)
     lv = math.log(v)
     li3 = _li3_mu(lv) if v > 0.5 else _li3_t(-math.log1p(-v))

@@ -7,18 +7,18 @@ t = -ln(1-x), above it the expansion about x = 1 in mu = ln(x).  Both
 variables stay within ln 2 in size, where at most 20 terms reach full
 binary64 precision.
 
-Each table is compiled once, at import, into one Horner expression of its
-floats' reprs (as `namedtuple` writes its methods), bit for bit the loop over
-it; results skip the named tuple's Python-level ``__new__`` via `core._result`.
-Li3's two tables are compiled inside its whole branch expressions, functions
-of t and of mu that `legendre.d3p_dnu3_0` shares with `trilog`.
+Each branch is compiled whole, once, at import, by `core._compile` into one
+function of its own variable, its tables written as Horner expressions of the
+floats' reprs: bit for bit the loop over them.  Results skip the named
+tuple's Python-level ``__new__`` via `core._result`.  `legendre.d3p_dnu3_0`
+calls Li3's two branches and the branch of its own first integral.
 """
 
 from __future__ import annotations
 
 import math
 
-from .core import EPS, DomainError, EvalResult, _result, adaptive_quad
+from .core import EPS, DomainError, EvalResult, _compile, _result, adaptive_quad
 
 __all__ = ["dilog", "trilog", "zeta3", "dilog_integral_oracle", "PI2_OVER_6", "ZETA3"]
 
@@ -29,25 +29,13 @@ PI2_OVER_6 = math.pi * math.pi / 6.0
 ZETA3 = 1.2020569031595942854
 
 
-def _horner(coeffs: tuple[float, ...], y: str = "y") -> str:
+def _horner(coeffs: tuple[float, ...]) -> str:
     """Source of sum c_k y^k by Horner's rule from the top term, in the
     floats' reprs, which round-trip: bit for bit the loop."""
     body = repr(coeffs[-1])
     for c in coeffs[-2::-1]:
-        body = f"({body}) * {y} + {c!r}"
+        body = f"({body}) * y + {c!r}"
     return body
-
-
-def _compile(params: str, *lines: str, **names):
-    """``def f(params)`` with body ``lines`` over the globals ``names``, as
-    `core._compile_gk21` compiles the quadrature rule."""
-    exec(f"def f({params}):\n    " + "\n    ".join(lines), names)
-    return names["f"]
-
-
-def _compile_horner(coeffs: tuple[float, ...]):
-    """y -> sum c_k y^k, compiled from `_horner`'s source."""
-    return _compile("y", f"return {_horner(coeffs)}")
 
 
 #: Li2(x) = t - t^2/4 + sum_k B_(2k+2) t^(2k+3) / (2k+3)! with t = -ln(1-x)
@@ -58,6 +46,9 @@ _LI2_ODD = (
     -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
     8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
 )
+#: The same terms integrated once more, for d3's first integral (`_li2_ratio_integral`):
+#: entry k is B_(2k+2) / ((2k+4) (2k+3)!), the coefficient of S^(2k+4).
+_LI2_INTEGRAL = tuple(c / (2 * k + 4) for k, c in enumerate(_LI2_ODD))
 
 #: Li3(x) = sum_N c_N t^(N+1), integrated from dLi3/dt = Li2 / (e^t - 1):
 #: c_N = (1/(N+1)) sum_{k<=N} B_k B_(N-k) / ((k+1)! (N-k)!).
@@ -85,15 +76,24 @@ _LI3_NEAR1 = (
     1.1482216343327454e-09, -1.5815724990809165e-11, 2.4195009792525154e-13,
     -3.982897776989488e-15,
 )
-_li2_odd, _li2_near1 = map(_compile_horner, (_LI2_ODD, _LI2_NEAR1))
 
-#: `trilog`'s two branches compiled whole, Li3 from t = -ln(1-x) for x <= 1/2
-#: and from mu = ln(x) for 1/2 < x < 1; `legendre.d3p_dnu3_0` calls them too.
-_li3_t = _compile("t", f"return t * ({_horner(_LI3, 't')})")
+#: The branches, each compiled whole as one function of its own variable: Li2
+#: and Li3 from t = -ln(1-x) for x <= 1/2 and from mu = ln(x) for 1/2 < x < 1,
+#: which `dilog` and `trilog` call, and d3's first integral from S (6 times the
+#: integral of Li2(t)/(1-t) over [0, w], S = -ln(1-w); see `legendre.d3p_dnu3_0`).
+_li2_t = _compile(
+    "t", "y = t * t", f"return t * (1.0 - t * (0.25 - t * ({_horner(_LI2_ODD)})))")
+_li2_mu = _compile(
+    "mu", "y = mu * mu",
+    f"return {PI2_OVER_6!r} + mu * (1.0 - log(-mu) - mu * (0.25 - mu * ({_horner(_LI2_NEAR1)})))",
+    log=math.log)
+_li3_t = _compile("y", f"return y * ({_horner(_LI3)})")
 _li3_mu = _compile(
     "mu", "y = mu * mu",
     f"return {ZETA3!r} + mu * ({PI2_OVER_6!r} + mu * (0.75 - 0.5 * log(-mu)"
     f" - mu * ({1.0 / 12.0!r} - mu * ({_horner(_LI3_NEAR1)}))))", log=math.log)
+_li2_ratio_integral = _compile(
+    "s", "y = s * s", f"return y * (3.0 - s * (0.5 - 6.0 * s * ({_horner(_LI2_INTEGRAL)})))")
 
 # Error bounds, with EPS one ulp of 1.  At or below 1/2, 0 <= t <= ln 2 and
 # sum_n |c_n| (ln 2)^n <= 1.31 over the coefficient c_n of t^(n+1) in either
@@ -147,15 +147,10 @@ def dilog(x: float) -> EvalResult:
     x = _check_unit_interval(x)
     if x <= 0.5:
         t = -math.log1p(-x)
-        value = t * (1.0 - t * (0.25 - t * _li2_odd(t * t)))
-        return _result((value, _BELOW_HALF_ERR * t, True))
+        return _result((_li2_t(t), _BELOW_HALF_ERR * t, True))
     if x == 1.0:
         return _result((PI2_OVER_6, EPS * PI2_OVER_6, True))
-    mu = math.log(x)
-    value = PI2_OVER_6 + mu * (
-        1.0 - math.log(-mu) - mu * (0.25 - mu * _li2_near1(mu * mu))
-    )
-    return _result((value, _ABOVE_HALF_ERR, True))
+    return _result((_li2_mu(math.log(x)), _ABOVE_HALF_ERR, True))
 
 
 def trilog(x: float) -> EvalResult:

@@ -21,7 +21,8 @@ def test_digests_repeat_in_process_and_in_a_child():
     first = digest.digests()
     assert [name for name, _ in first] == ["legendre_p", "_p_series_du", "dp_dnu0", "d2p_dnu2_0",
                                            "d3p_dnu3_0", "maclaurin_p", "dilog", "trilog",
-                                           "run_all"]
+                                           "run_all", "nu_derivative_oracle",
+                                           "dilog_integral_oracle", "zeta3", "cli"]
     assert digest.digests() == first
     child = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
                            check=True)

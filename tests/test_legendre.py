@@ -111,6 +111,19 @@ def test_one_argument_keeps_no_coefficient_table():
     assert peak < 64 * 1024
 
 
+def test_p_series_du_frees_what_its_last_argument_read():
+    # the last argument reads the tee itself, not a copy, so coefficients it
+    # has passed are freed; a copy would hold all MAX_TERMS of them, 3.3 MB
+    legendre._p_series_du(0.5, [-0.9999])
+    tracemalloc.start()
+    try:
+        assert math.isnan(legendre._p_series_du(0.5, [-0.9999])[0][0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 # value and error estimate for z >= 0, bit for bit as the series gives them
 # with its proven stop
 _P_BITS = [
@@ -376,7 +389,7 @@ def test_oracle_is_independent_of_the_series_and_closed_forms(monkeypatch):
         raise AssertionError("the oracle must not call this")
 
     for name in ("legendre_p", "_coefficients", "_p_series_du", "dp_dnu0", "d2p_dnu2_0", "d3p_dnu3_0",
-                 "dilog", "_li3_t", "_li3_mu"):
+                 "dilog", "_li3_t", "_li3_mu", "_li2_ratio_integral"):
         monkeypatch.setattr(legendre, name, forbidden)
     assert [nu_derivative_oracle(z, order) for z in (-0.9, 0.3) for order in (1, 2, 3)] \
         == expected

@@ -14,15 +14,16 @@ from hypothesis import given, strategies as st
 from scipy.special import spence
 
 from legnu.core import DomainError, EvalResult, adaptive_quad
-from legnu.legendre import _LI2_INTEGRAL, _li2_integral
 from legnu.polylog import (
+    _LI2_INTEGRAL,
     _LI2_NEAR1,
     _LI2_ODD,
     _LI3,
     _LI3_NEAR1,
     PI2_OVER_6,
-    _li2_near1,
-    _li2_odd,
+    _li2_mu,
+    _li2_ratio_integral,
+    _li2_t,
     _li3_mu,
     _li3_t,
     ZETA3,
@@ -262,25 +263,38 @@ def _loop_horner(y: float, coeffs: tuple[float, ...]) -> float:
     return total
 
 
+# each branch as it was written over a loop Horner before being compiled whole
+def _li2_t_loop(t: float) -> float:
+    return t * (1.0 - t * (0.25 - t * _loop_horner(t * t, _LI2_ODD)))
+
+
+def _li2_mu_loop(mu: float) -> float:
+    return PI2_OVER_6 + mu * (
+        1.0 - math.log(-mu) - mu * (0.25 - mu * _loop_horner(mu * mu, _LI2_NEAR1))
+    )
+
+
 def _li3_mu_loop(mu: float) -> float:
-    """`trilog`'s expansion about 1 as it was written before being compiled."""
     return ZETA3 + mu * (PI2_OVER_6 + mu * (
         0.75 - 0.5 * math.log(-mu) - mu * (1.0 / 12.0 - mu * _loop_horner(mu * mu, _LI3_NEAR1))
     ))
 
 
+def _li2_ratio_integral_loop(s: float) -> float:
+    return s * s * (3.0 - s * (0.5 - 6.0 * s * _loop_horner(s * s, _LI2_INTEGRAL)))
+
+
 LN2 = math.log(2.0)
-# each compiled evaluator, its loop reference, and the largest argument its
-# caller passes: t^2 or t for t = -ln(1-x) <= ln 2, and S^2 for d3's first
-# integral, S = -ln(1-w) <= ln(4/3); the Li3 branch in mu = ln(x) takes
-# -mu <= ln 2, mu < 0, and is called here at -y
+# each compiled branch, keyed by its table, its loop reference, and the largest
+# argument its caller passes: t = -ln(1-x) <= ln 2, and S = -ln(1-w) <= ln(4/3)
+# for d3's first integral; the branches in mu = ln(x) take -mu <= ln 2, mu < 0,
+# and are called here at -y
 COMPILED = {
-    "li2_odd": (_li2_odd, lambda y: _loop_horner(y, _LI2_ODD), LN2 * LN2),
+    "li2_odd": (_li2_t, _li2_t_loop, LN2),
     "li3": (_li3_t, lambda t: t * _loop_horner(t, _LI3), LN2),
-    "li2_near1": (_li2_near1, lambda y: _loop_horner(y, _LI2_NEAR1), LN2 * LN2),
+    "li2_near1": (lambda y: _li2_mu(-y), lambda y: _li2_mu_loop(-y), LN2),
     "li3_near1": (lambda y: _li3_mu(-y), lambda y: _li3_mu_loop(-y), LN2),
-    "li2_integral": (_li2_integral, lambda y: _loop_horner(y, _LI2_INTEGRAL),
-                     math.log(4.0 / 3.0) ** 2),
+    "li2_integral": (_li2_ratio_integral, _li2_ratio_integral_loop, math.log(4.0 / 3.0)),
 }
 
 
@@ -290,7 +304,7 @@ def test_compiled_horner_equals_loop_bit_for_bit(name):
     ys = [top * k / 10_000 for k in range(10_001)]
     ys += [0.0, 5e-324, math.ulp(top), math.nextafter(top, 0.0), top, math.nextafter(top, 1.0)]
     ys += [math.nextafter(y, 1.0) for y in ys[1:10_000:7]]
-    if name == "li3_near1":
+    if name.endswith("near1"):
         ys = [y for y in ys if y > 0.0]  # ln(-mu) needs mu < 0
     diff = [y for y in ys if compiled(y).hex() != loop(y).hex()]
     assert not diff, f"{name}: {len(diff)} of {len(ys)} differ, first at y = {diff[0]!r}"

@@ -9,19 +9,37 @@ change meant to keep every output can be checked against its parent:
 Each digest hashes the float.hex of every output field (an `EvalResult`'s
 value, error estimate and flag; every field of an `IdentityReport`), so the
 digests depend on the platform's libm and are comparable only on one host.
-The sweep takes about a second; a few of its points reach the P_nu term cap.
+The last digest hashes the argv, exit code, stdout and stderr of each
+`CLI_COMMANDS` entry, run in process through `legnu.cli.main`.  The sweep
+takes about a second; a few of its points reach the P_nu term cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import random
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20131
+#: the CI smoke commands of a plain install, the exit-2 case last
+CLI_COMMANDS = [
+    ["verify"],
+    ["verify", "--format", "json"],
+    ["verify", "--tol", "li2=1e-12"],
+    ["eval", "--what", "d3", "--z", "0.3"],
+    ["eval", "--what", "d3", "--z", "-0.3"],
+    ["eval", "--what", "d3", "--z", "0.7"],
+    ["eval", "--what", "maclaurin", "--nu", "0.2", "--z", "-0.3"],
+    ["eval", "--what", "p", "--nu", "0.5", "--z", "0.3"],
+    ["tabulate", "--what", "p,d1,d2,d3,maclaurin", "--count", "11"],
+    ["truncation-study", "--count", "11"],
+    ["tabulate", "--z-start", "-1", "--count", "3"],
+]
 
 
 def _encode(x) -> str:
@@ -34,8 +52,8 @@ def _encode(x) -> str:
 
 def _sweep():
     """(name, outputs) for each swept function, in a fixed order."""
-    from legnu import (d2p_dnu2_0, d3p_dnu3_0, dilog, dp_dnu0, legendre_p, maclaurin_p,
-                       run_all, trilog)
+    from legnu import (d2p_dnu2_0, d3p_dnu3_0, dilog, dilog_integral_oracle, dp_dnu0,
+                       legendre_p, maclaurin_p, nu_derivative_oracle, run_all, trilog, zeta3)
     from legnu.legendre import _p_series_du
     from legnu.verify import GridSpec
 
@@ -64,6 +82,22 @@ def _sweep():
     yield "dilog", [dilog(x) for x in units]
     yield "trilog", [trilog(x) for x in units]
     yield "run_all", run_all()
+    yield "nu_derivative_oracle", [nu_derivative_oracle(z, order) for order in (1, 2, 3)
+                                   for z in edges]
+    yield "dilog_integral_oracle", [dilog_integral_oracle(x, tol) for tol in (1e-10, 1e-14)
+                                    for x in units if x < 1.0]
+    yield "zeta3", [zeta3()]
+    yield "cli", [_run_cli(argv) for argv in CLI_COMMANDS]
+
+
+def _run_cli(argv: list[str]) -> tuple:
+    """(argv, exit code, stdout, stderr) of one in-process `legnu.cli.main` call."""
+    from legnu.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return argv, code, out.getvalue(), err.getvalue()
 
 
 def digests() -> list[tuple[str, str]]:
